@@ -7,11 +7,13 @@
 // so padding can be exact (or FastLen-rounded) instead of doubling to
 // NextPow2. Real-input fields additionally transform in half-spectrum
 // form (realnd.go), halving the storage of every hermitian workload.
+// Everything is written once over the two lanes — float64/complex128
+// and float32/complex64 — and instantiated per lane; the few steps
+// that need real/imag/complex live in lane.go.
 package fft
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 )
 
@@ -26,16 +28,17 @@ func NextPow2(n int) int {
 // IsPow2 reports whether n is a positive power of two.
 func IsPow2(n int) bool { return n > 0 && n&(n-1) == 0 }
 
-// twiddles returns the first half of the n-th roots of unity,
-// exp(-2πik/n) for k in [0, n/2), the set used by a forward transform.
-func twiddles(n int) []complex128 {
-	w := make([]complex128, n/2)
-	for k := range w {
-		s, c := math.Sincos(-2 * math.Pi * float64(k) / float64(n))
-		w[k] = complex(c, s)
-	}
-	return w
-}
+// Real and Complex are the element constraints of the two lanes: the
+// float64 oracle lane (float64, complex128) and the float32 compute
+// lane (float32, complex64). Every transform is written once over them;
+// a real-input transform takes one of each, and the pair must match.
+type (
+	Real    interface{ ~float32 | ~float64 }
+	Complex interface{ ~complex64 | ~complex128 }
+)
+
+// Scalar is any lane element: what the buffer pools hold.
+type Scalar interface{ Real | Complex }
 
 // Forward computes the in-place unnormalized forward DFT of x, of any
 // length (see the package comment for how lengths map to algorithms):
@@ -66,163 +69,49 @@ func transform(x []complex128, inverse bool) error {
 	if n == 1 {
 		return nil
 	}
-	planFor(n).transform(x, inverse)
+	planFor[complex128](n).transform(x, inverse)
 	return nil
-}
-
-// transformTw is the radix-2 butterfly core over a precomputed twiddle
-// table (len(w) == len(x)/2). Factoring the table out lets an axis pass
-// of an ND transform share one table across all of its lines.
-func transformTw(x []complex128, w []complex128, inverse bool) {
-	n := len(x)
-	// bit-reversal permutation
-	shift := 64 - uint(bits.Len(uint(n-1)))
-	for i := 0; i < n; i++ {
-		j := int(bits.Reverse64(uint64(i)) >> shift)
-		if j > i {
-			x[i], x[j] = x[j], x[i]
-		}
-	}
-	for size := 2; size <= n; size <<= 1 {
-		half := size >> 1
-		step := n / size
-		for start := 0; start < n; start += size {
-			for k := 0; k < half; k++ {
-				tw := w[k*step]
-				if inverse {
-					tw = complex(real(tw), -imag(tw))
-				}
-				a := x[start+k]
-				b := x[start+k+half] * tw
-				x[start+k] = a + b
-				x[start+k+half] = a - b
-			}
-		}
-	}
 }
 
 // Forward2D computes the in-place forward DFT of a rows×cols row-major
 // complex grid; any extents.
 func Forward2D(x []complex128, rows, cols int) error {
-	return transform2D(x, rows, cols, Forward)
+	return separable(x, []int{rows, cols}, false)
 }
 
 // Inverse2D computes the normalized in-place inverse 2D DFT.
 func Inverse2D(x []complex128, rows, cols int) error {
-	return transform2D(x, rows, cols, Inverse)
-}
-
-func transform2D(x []complex128, rows, cols int, f func([]complex128) error) error {
-	if len(x) != rows*cols {
-		return fmt.Errorf("fft: buffer length %d != %d*%d", len(x), rows, cols)
-	}
-	for r := 0; r < rows; r++ {
-		if err := f(x[r*cols : (r+1)*cols]); err != nil {
-			return err
-		}
-	}
-	col := make([]complex128, rows)
-	for c := 0; c < cols; c++ {
-		for r := 0; r < rows; r++ {
-			col[r] = x[r*cols+c]
-		}
-		if err := f(col); err != nil {
-			return err
-		}
-		for r := 0; r < rows; r++ {
-			x[r*cols+c] = col[r]
-		}
-	}
-	return nil
+	return separable(x, []int{rows, cols}, true)
 }
 
 // Forward3D computes the in-place forward DFT of an (nz, ny, nx)
 // row-major complex volume (x fastest); any extents.
 func Forward3D(x []complex128, nz, ny, nx int) error {
-	return transform3D(x, nz, ny, nx, Forward)
+	return separable(x, []int{nz, ny, nx}, false)
 }
 
 // Inverse3D computes the normalized in-place inverse 3D DFT.
 func Inverse3D(x []complex128, nz, ny, nx int) error {
-	return transform3D(x, nz, ny, nx, Inverse)
+	return separable(x, []int{nz, ny, nx}, true)
 }
 
-func transform3D(x []complex128, nz, ny, nx int, f func([]complex128) error) error {
-	if len(x) != nz*ny*nx {
-		return fmt.Errorf("fft: buffer length %d != %d*%d*%d", len(x), nz, ny, nx)
+// separable runs the serial line passes of a 2D/3D transform, last
+// axis first. An inverse normalizes after each axis pass by that
+// axis's extent — the same per-element operation sequence as applying
+// the normalized 1D Inverse to every line in turn, which the samplers'
+// output bits depend on.
+func separable(x []complex128, dims []int, inverse bool) error {
+	if err := checkLen(x, dims); err != nil {
+		return err
 	}
-	// x lines
-	for z := 0; z < nz; z++ {
-		for y := 0; y < ny; y++ {
-			off := (z*ny + y) * nx
-			if err := f(x[off : off+nx]); err != nil {
-				return err
-			}
-		}
-	}
-	// y lines
-	line := make([]complex128, ny)
-	for z := 0; z < nz; z++ {
-		for c := 0; c < nx; c++ {
-			for y := 0; y < ny; y++ {
-				line[y] = x[(z*ny+y)*nx+c]
-			}
-			if err := f(line); err != nil {
-				return err
-			}
-			for y := 0; y < ny; y++ {
-				x[(z*ny+y)*nx+c] = line[y]
-			}
-		}
-	}
-	// z lines
-	if cap(line) < nz {
-		line = make([]complex128, nz)
-	}
-	line = line[:nz]
-	for y := 0; y < ny; y++ {
-		for c := 0; c < nx; c++ {
-			for z := 0; z < nz; z++ {
-				line[z] = x[(z*ny+y)*nx+c]
-			}
-			if err := f(line); err != nil {
-				return err
-			}
-			for z := 0; z < nz; z++ {
-				x[(z*ny+y)*nx+c] = line[z]
+	for axis := len(dims) - 1; axis >= 0; axis-- {
+		axisPass(x, dims, axis, 1, inverse)
+		if inverse {
+			s := complex(1/float64(dims[axis]), 0)
+			for i := range x {
+				x[i] *= s
 			}
 		}
 	}
 	return nil
-}
-
-// RealForward computes the DFT of a real sequence, returning a full
-// complex spectrum (convenience; no half-spectrum packing).
-func RealForward(x []float64) ([]complex128, error) {
-	out := make([]complex128, len(x))
-	for i, v := range x {
-		out[i] = complex(v, 0)
-	}
-	if err := Forward(out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// PowerSpectrum2D returns |FFT2(x)|²/n for a real rows×cols field, a
-// cheap diagnostic used in tests of field generators.
-func PowerSpectrum2D(x []float64, rows, cols int) ([]float64, error) {
-	buf := make([]complex128, len(x))
-	for i, v := range x {
-		buf[i] = complex(v, 0)
-	}
-	if err := Forward2D(buf, rows, cols); err != nil {
-		return nil, err
-	}
-	out := make([]float64, len(x))
-	n := float64(len(x))
-	for i, v := range buf {
-		out[i] = (real(v)*real(v) + imag(v)*imag(v)) / n
-	}
-	return out, nil
 }

@@ -14,7 +14,7 @@ func (r *lcg) next() float64 {
 	return float64(uint32(*r>>32))/float64(1<<32) - 0.5
 }
 
-// TestRealND32RoundTrip pins InverseRealND32(ForwardRealND32(x)) == x
+// TestRealND32RoundTrip pins InverseRealND(ForwardRealND(x)) == x
 // to float32 roundoff across pow2, mixed-radix, Bluestein, and odd
 // last-axis extents, at several worker counts.
 func TestRealND32RoundTrip(t *testing.T) {
@@ -33,15 +33,15 @@ func TestRealND32RoundTrip(t *testing.T) {
 		}
 		var ref []float32
 		for _, workers := range []int{1, 3, 8} {
-			spec := AcquireComplex64(HalfLen(dims))
+			spec := Acquire[complex64](HalfLen(dims))
 			out := make([]float32, total)
-			if err := ForwardRealND32(src, dims, spec, workers); err != nil {
+			if err := ForwardRealND(src, dims, spec, workers); err != nil {
 				t.Fatalf("dims %v: %v", dims, err)
 			}
-			if err := InverseRealND32(spec, dims, out, workers); err != nil {
+			if err := InverseRealND(spec, dims, out, workers); err != nil {
 				t.Fatalf("dims %v: %v", dims, err)
 			}
-			ReleaseComplex64(spec)
+			Release(spec)
 			for i := range out {
 				if d := math.Abs(float64(out[i] - src[i])); d > 2e-5 {
 					t.Fatalf("dims %v workers %d: round-trip error %g at %d", dims, workers, d, i)
@@ -80,7 +80,7 @@ func TestForwardRealND32MatchesOracle(t *testing.T) {
 		}
 		spec32 := make([]complex64, HalfLen(dims))
 		spec64 := make([]complex128, HalfLen(dims))
-		if err := ForwardRealND32(src32, dims, spec32, 2); err != nil {
+		if err := ForwardRealND(src32, dims, spec32, 2); err != nil {
 			t.Fatal(err)
 		}
 		if err := ForwardRealND(src64, dims, spec64, 2); err != nil {
@@ -109,15 +109,15 @@ func TestForwardRealND32MatchesOracle(t *testing.T) {
 func TestPool32Accounting(t *testing.T) {
 	base := LiveBytes()
 	ResetPeakBytes()
-	c := AcquireComplex64(1000)
-	r := AcquireReal32(1000)
+	c := Acquire[complex64](1000)
+	r := Acquire[float32](1000)
 	live := LiveBytes() - base
 	want := int64(cap(c))*8 + int64(cap(r))*4
 	if live != want {
 		t.Fatalf("live bytes %d, want %d", live, want)
 	}
-	ReleaseComplex64(c)
-	ReleaseReal32(r)
+	Release(c)
+	Release(r)
 	if LiveBytes() != base {
 		t.Fatalf("live bytes %d after release, want %d", LiveBytes(), base)
 	}
@@ -130,11 +130,11 @@ func TestPool32Accounting(t *testing.T) {
 // float32-lane pools: a released non-power-of-two buffer is found
 // again by a same-size acquire.
 func TestPool32Retention(t *testing.T) {
-	r := AcquireReal32(1600 * 1600)
+	r := Acquire[float32](1600 * 1600)
 	p := &r[0]
-	ReleaseReal32(r)
-	r2 := AcquireReal32(1600 * 1600)
-	defer ReleaseReal32(r2)
+	Release(r)
+	r2 := Acquire[float32](1600 * 1600)
+	defer Release(r2)
 	if &r2[0] != p {
 		t.Fatal("released float32 buffer not reused by same-size acquire")
 	}

@@ -1,6 +1,6 @@
 package fft
 
-// Rank-generic transforms and the shared complex-buffer pool. The ND
+// Rank-generic transforms and the shared buffer pools. The ND
 // transform is the numerical engine of the variogram FFT fast path: one
 // axis pass per dimension, each pass sharing a single twiddle table and
 // fanning its (independent) lines out over the process-wide worker
@@ -18,7 +18,11 @@ import (
 
 // The buffer pools bucket reusable slices by capacity so the repeated
 // large scratch buffers of the variogram FFT engine and the samplers
-// are recycled instead of re-allocated per call.
+// are recycled instead of re-allocated per call. Each element type has
+// its own bucket array; the live/peak byte accounting is shared, so
+// the memory gauges compare lanes on one scale (a complex64 element
+// charges 8 bytes, a float32 element 4 — the float32 lane's ~2×
+// bandwidth saving).
 //
 // Bucket contract: bucket b holds buffers whose capacity lies in
 // [2^b, 2^(b+1)) — Release files by floor(log2(cap)), so buffers with
@@ -30,10 +34,22 @@ import (
 // then allocates — at exactly the requested length, not the next power
 // of two, so a half-spectrum never drags a 2× capacity behind it and a
 // re-acquired same-size buffer is found one bucket down.
-var (
-	complexPools [64]sync.Pool
-	realPools    [64]sync.Pool
-)
+var pools [4][64]sync.Pool // float32, float64, complex64, complex128
+
+// poolOf returns T's bucket array and element size in bytes.
+func poolOf[T Scalar]() (*[64]sync.Pool, int64) {
+	switch any((*T)(nil)).(type) {
+	case *float32:
+		return &pools[0], 4
+	case *float64:
+		return &pools[1], 8
+	case *complex64:
+		return &pools[2], 8
+	case *complex128:
+		return &pools[3], 16
+	}
+	panic("fft: no pool for a named element type")
+}
 
 // Live/peak accounting of acquired (checked-out) pool bytes. This is
 // the transform-buffer working set of whatever engine is running — the
@@ -58,7 +74,7 @@ func accountAcquire(bytes int64) {
 func ResetPeakBytes() { poolPeakBytes.Store(poolLiveBytes.Load()) }
 
 // PeakBytes returns the high-water mark of simultaneously checked-out
-// pool bytes (complex and real buffers) since the last ResetPeakBytes.
+// pool bytes (all element types) since the last ResetPeakBytes.
 func PeakBytes() int64 { return poolPeakBytes.Load() }
 
 // LiveBytes returns the currently checked-out pool bytes.
@@ -72,159 +88,63 @@ func acquireBucket(n int) int { return bits.Len(uint(n - 1)) }
 // guarantee capacity c can honor.
 func releaseBucket(c int) int { return bits.Len(uint(c)) - 1 }
 
-// AcquireComplex returns a buffer of length n (contents unspecified)
-// from the pool, allocating a power-of-two-capacity one on miss.
-// Release it with ReleaseComplex when done.
-func AcquireComplex(n int) []complex128 {
-	if n <= 0 {
-		return nil
-	}
-	b := acquireBucket(n)
-	if v := complexPools[b].Get(); v != nil {
-		buf := *(v.(*[]complex128))
-		accountAcquire(int64(cap(buf)) * 16)
-		return buf[:n]
-	}
-	if b > 0 {
-		if v := complexPools[b-1].Get(); v != nil {
-			p := v.(*[]complex128)
-			if cap(*p) >= n {
-				buf := *p
-				accountAcquire(int64(cap(buf)) * 16)
-				return buf[:n]
-			}
-			complexPools[b-1].Put(p) // fits smaller requests; keep it
-		}
-	}
-	buf := make([]complex128, n)
-	accountAcquire(int64(cap(buf)) * 16)
-	return buf
-}
+// Acquire returns a []T of length n (contents unspecified) from T's
+// pool, allocating exactly n on a miss. Release it with Release.
+func Acquire[T Scalar](n int) []T { return acquire[T](n, false) }
 
-// ReleaseComplex returns a buffer obtained from AcquireComplex to the
-// pool. Buffers of any capacity are accepted (non-power-of-two
-// capacities are filed by floor(log2(cap)) and keep serving smaller
-// requests). The caller must not use the slice afterwards.
-func ReleaseComplex(buf []complex128) {
-	c := cap(buf)
-	if c == 0 {
-		return
-	}
-	poolLiveBytes.Add(-int64(c) * 16)
-	buf = buf[:c]
-	complexPools[releaseBucket(c)].Put(&buf)
-}
-
-// AcquireReal returns a []float64 of length n (contents unspecified)
-// from the real-typed pool — the padded-field and correlation-plane
-// storage of the real-input engine. Release with ReleaseReal.
-func AcquireReal(n int) []float64 {
-	if n <= 0 {
-		return nil
-	}
-	b := acquireBucket(n)
-	if v := realPools[b].Get(); v != nil {
-		buf := *(v.(*[]float64))
-		accountAcquire(int64(cap(buf)) * 8)
-		return buf[:n]
-	}
-	if b > 0 {
-		if v := realPools[b-1].Get(); v != nil {
-			p := v.(*[]float64)
-			if cap(*p) >= n {
-				buf := *p
-				accountAcquire(int64(cap(buf)) * 8)
-				return buf[:n]
-			}
-			realPools[b-1].Put(p)
-		}
-	}
-	buf := make([]float64, n)
-	accountAcquire(int64(cap(buf)) * 8)
-	return buf
-}
-
-// AcquireRealTight is AcquireReal for budget-critical consumers: a
-// pooled buffer is accepted only when its capacity is at most 2n, so
-// the cap-based accounting of a tight acquisition never exceeds twice
-// the requested bytes (a plain acquire can carry up to ~4× from bucket
+// AcquireTight is Acquire for budget-critical consumers: a pooled
+// buffer is accepted only when its capacity is at most 2n, so the
+// cap-based accounting of a tight acquisition never exceeds twice the
+// requested bytes (a plain acquire can carry up to ~4× from bucket
 // slack; a miss allocates exactly n either way). The streaming
 // analysis plans its tiles and shards against half the memory budget;
 // together the two factors keep the peak gauge under the budget even
-// on a warm pool. Release with ReleaseReal as usual.
-func AcquireRealTight(n int) []float64 {
+// on a warm pool. Release with Release as usual.
+func AcquireTight[T Scalar](n int) []T { return acquire[T](n, true) }
+
+func acquire[T Scalar](n int, tight bool) []T {
 	if n <= 0 {
 		return nil
 	}
+	pool, size := poolOf[T]()
+	take := func(p *[]T) []T {
+		accountAcquire(int64(cap(*p)) * size)
+		return (*p)[:n]
+	}
 	b := acquireBucket(n)
-	if v := realPools[b].Get(); v != nil {
-		p := v.(*[]float64)
-		if int64(cap(*p)) <= 2*int64(n) {
-			buf := *p
-			accountAcquire(int64(cap(buf)) * 8)
-			return buf[:n]
+	if v := pool[b].Get(); v != nil {
+		p := v.(*[]T)
+		if !tight || int64(cap(*p)) <= 2*int64(n) {
+			return take(p)
 		}
-		realPools[b].Put(p) // too slack for a budgeted consumer; keep it
+		pool[b].Put(p) // too slack for a budgeted consumer; keep it
 	}
 	if b > 0 {
-		if v := realPools[b-1].Get(); v != nil {
-			p := v.(*[]float64)
+		if v := pool[b-1].Get(); v != nil {
+			p := v.(*[]T)
 			if cap(*p) >= n { // one-below caps are < 2^b <= 2n by construction
-				buf := *p
-				accountAcquire(int64(cap(buf)) * 8)
-				return buf[:n]
+				return take(p)
 			}
-			realPools[b-1].Put(p)
+			pool[b-1].Put(p) // fits smaller requests; keep it
 		}
 	}
-	buf := make([]float64, n)
-	accountAcquire(int64(cap(buf)) * 8)
-	return buf
+	buf := make([]T, n)
+	return take(&buf)
 }
 
-// AcquireComplexTight is AcquireRealTight's complex sibling: pooled
-// hits are accepted only under 2n capacity, bounding accounted slack
-// for the budgeted spectral shards. Release with ReleaseComplex.
-func AcquireComplexTight(n int) []complex128 {
-	if n <= 0 {
-		return nil
-	}
-	b := acquireBucket(n)
-	if v := complexPools[b].Get(); v != nil {
-		p := v.(*[]complex128)
-		if int64(cap(*p)) <= 2*int64(n) {
-			buf := *p
-			accountAcquire(int64(cap(buf)) * 16)
-			return buf[:n]
-		}
-		complexPools[b].Put(p)
-	}
-	if b > 0 {
-		if v := complexPools[b-1].Get(); v != nil {
-			p := v.(*[]complex128)
-			if cap(*p) >= n {
-				buf := *p
-				accountAcquire(int64(cap(buf)) * 16)
-				return buf[:n]
-			}
-			complexPools[b-1].Put(p)
-		}
-	}
-	buf := make([]complex128, n)
-	accountAcquire(int64(cap(buf)) * 16)
-	return buf
-}
-
-// ReleaseReal returns a buffer obtained from AcquireReal to the pool,
-// under the same any-capacity contract as ReleaseComplex.
-func ReleaseReal(buf []float64) {
+// Release returns a buffer obtained from Acquire or AcquireTight to the
+// pool. Buffers of any capacity are accepted (non-power-of-two
+// capacities are filed by floor(log2(cap)) and keep serving smaller
+// requests). The caller must not use the slice afterwards.
+func Release[T Scalar](buf []T) {
 	c := cap(buf)
 	if c == 0 {
 		return
 	}
-	poolLiveBytes.Add(-int64(c) * 8)
+	pool, size := poolOf[T]()
+	poolLiveBytes.Add(-int64(c) * size)
 	buf = buf[:c]
-	realPools[releaseBucket(c)].Put(&buf)
+	pool[releaseBucket(c)].Put(&buf)
 }
 
 // ForEachEmbeddedRow visits the contiguous last-dimension runs of a
@@ -324,7 +244,9 @@ func InverseND(x []complex128, dims []int, workers int) error {
 	return nil
 }
 
-func transformND(x []complex128, dims []int, workers int, inverse bool) error {
+// checkLen validates that every extent is positive and that x holds
+// exactly their product.
+func checkLen[T any](x []T, dims []int) error {
 	n := 1
 	for _, d := range dims {
 		if d < 1 {
@@ -335,8 +257,12 @@ func transformND(x []complex128, dims []int, workers int, inverse bool) error {
 	if len(x) != n {
 		return fmt.Errorf("fft: buffer length %d != product of %v", len(x), dims)
 	}
-	if n <= 1 {
-		return nil
+	return nil
+}
+
+func transformND(x []complex128, dims []int, workers int, inverse bool) error {
+	if err := checkLen(x, dims); err != nil {
+		return err
 	}
 	for axis := len(dims) - 1; axis >= 0; axis-- {
 		axisPass(x, dims, axis, workers, inverse)
@@ -349,12 +275,12 @@ func transformND(x []complex128, dims []int, workers int, inverse bool) error {
 // and shared (read-only) by all lines; lines are split into at most
 // `workers` contiguous spans so each span needs one scratch buffer, not
 // one per line.
-func axisPass(x []complex128, dims []int, axis, workers int, inverse bool) {
+func axisPass[C Complex](x []C, dims []int, axis, workers int, inverse bool) {
 	d := dims[axis]
 	if d <= 1 {
 		return
 	}
-	p := planFor(d)
+	p := planFor[C](d)
 	stride := 1
 	for k := axis + 1; k < len(dims); k++ {
 		stride *= dims[k]
@@ -368,7 +294,27 @@ func axisPass(x []complex128, dims []int, axis, workers int, inverse bool) {
 		return
 	}
 	// Strided lines: line (o, i) starts at o*d*stride + i, elements
-	// stride apart. Split lines into spans, one scratch per span.
+	// stride apart. One scratch per span.
+	forLineSpans(lines, workers, d, func(scratch []C, line int) {
+		o, i := line/stride, line%stride
+		base := o*d*stride + i
+		for k := 0; k < d; k++ {
+			scratch[k] = x[base+k*stride]
+		}
+		p.transform(scratch, inverse)
+		for k := 0; k < d; k++ {
+			x[base+k*stride] = scratch[k]
+		}
+	})
+}
+
+// forLineSpans splits `lines` into at most `workers` contiguous spans
+// on the shared pool, hands each span one pooled scratch of length
+// scratchLen, and calls fn once per line — the fan-out of every strided
+// axis pass and last-axis real<->complex pass. Per-line work is
+// independent and span boundaries don't affect arithmetic, so results
+// are bit-identical at any worker count.
+func forLineSpans[C Complex](lines, workers, scratchLen int, fn func(y []C, line int)) {
 	spans := parallel.Resolve(workers, lines)
 	per := (lines + spans - 1) / spans
 	parallel.For(spans, spans, func(s int) {
@@ -379,18 +325,10 @@ func axisPass(x []complex128, dims []int, axis, workers int, inverse bool) {
 		if lo >= hi {
 			return
 		}
-		scratch := AcquireComplex(d)
-		defer ReleaseComplex(scratch)
+		y := Acquire[C](scratchLen)
+		defer Release(y)
 		for line := lo; line < hi; line++ {
-			o, i := line/stride, line%stride
-			base := o*d*stride + i
-			for k := 0; k < d; k++ {
-				scratch[k] = x[base+k*stride]
-			}
-			p.transform(scratch, inverse)
-			for k := 0; k < d; k++ {
-				x[base+k*stride] = scratch[k]
-			}
+			fn(y, line)
 		}
 	})
 }

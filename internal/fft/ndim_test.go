@@ -138,37 +138,37 @@ func TestPadReal(t *testing.T) {
 // TestComplexPoolReuse checks the buffer pool hands back released
 // buffers instead of allocating fresh ones.
 func TestComplexPoolReuse(t *testing.T) {
-	a := AcquireComplex(1000) // allocates at exact size now, no 1024 rounding
+	a := Acquire[complex128](1000) // allocates at exact size now, no 1024 rounding
 	if len(a) != 1000 || cap(a) < 1000 {
 		t.Fatalf("len %d cap %d", len(a), cap(a))
 	}
 	a[0] = 42
-	ReleaseComplex(a)
+	Release(a)
 	// Exact-size caps are filed one bucket down (floor log2) and must be
 	// found again by a same-or-smaller request. sync.Pool randomly drops
 	// Puts under the race detector, so allow a few attempts (a failed
 	// attempt's undersized buffer is deliberately not re-pooled).
 	reused := false
 	for attempt := 0; attempt < 20 && !reused; attempt++ {
-		b := AcquireComplex(900)
+		b := Acquire[complex128](900)
 		reused = cap(b) >= 1000
 		if reused {
-			ReleaseComplex(b)
+			Release(b)
 		} else {
-			ReleaseComplex(AcquireComplex(1000))
+			Release(Acquire[complex128](1000))
 		}
 	}
 	if !reused {
 		t.Fatal("pooled buffer never came back")
 	}
-	if AcquireComplex(0) != nil {
-		t.Fatal("AcquireComplex(0) should be nil")
+	if Acquire[complex128](0) != nil {
+		t.Fatal("Acquire[complex128](0) should be nil")
 	}
-	ReleaseComplex(nil) // must not panic
+	Release[complex128](nil) // must not panic
 
 	allocs := testing.AllocsPerRun(100, func() {
-		buf := AcquireComplex(512)
-		ReleaseComplex(buf)
+		buf := Acquire[complex128](512)
+		Release(buf)
 	})
 	// One interface-boxing alloc per Put is the sync.Pool floor; a
 	// fresh 512-element buffer per run would cost far more.

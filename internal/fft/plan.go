@@ -19,6 +19,7 @@ package fft
 
 import (
 	"math"
+	"math/bits"
 	"sync"
 )
 
@@ -61,52 +62,83 @@ const (
 	planBluestein
 )
 
-// linePlan holds everything needed to transform one line of its length.
-type linePlan struct {
-	n    int
-	kind planKind
-
+// dirTables holds one direction's precomputed factors. A plan keeps a
+// forward set and an inverse set whose entries are the exact
+// conjugates of the forward ones (both rounded once to the lane from
+// the same float64 sin/cos), so no core ever conjugates a value: Go
+// rejects real/imag/complex on type-parameter operands, and with the
+// direction carried by the table the butterfly, mixed-radix and
+// Bluestein cores are plain complex arithmetic, written once for both
+// lanes. Conjugation is exact in IEEE arithmetic, so reading a
+// conjugated table computes bit-for-bit what conjugating on read would.
+//
+// On the float32 lane a complex64 product stays a complex64 product:
+// Go evaluates it in float64 and rounds once. Hand-expanding it into
+// float32 multiplies and adds would round every partial product and
+// change the bits of most results, so nothing here does.
+type dirTables[C Complex] struct {
 	// pow2: w is the half twiddle table of transformTw.
-	// mixed: w is the full table w[t] = exp(-2πi t/n); pw is the half
+	// mixed: w is the full table w[t] = exp(∓2πi t/n); pw is the half
 	// table of the residual power-of-two block.
-	w       []complex128
-	factors []int // mixed: odd prime factors, in dividing order
-	pow2    int   // mixed: residual power-of-two block length
-	pw      []complex128
-
-	// bluestein
-	m     int          // power-of-two convolution length >= 2n-1
-	wm    []complex128 // half twiddle table for length m
-	chirp []complex128 // a_j = exp(-iπ j²/n)
-	bfft  []complex128 // forward FFT_m of the chirp filter
+	w, pw []C
+	// bluestein: wm is the half twiddle table for length m; chirp is
+	// a_j = exp(∓iπ j²/n); bfft is the FFT_m (in this direction) of the
+	// opposite direction's chirp, embedded circularly.
+	wm, chirp, bfft []C
 }
 
-var planCache sync.Map // int -> *linePlan
+// linePlan holds everything needed to transform one line of its length.
+type linePlan[C Complex] struct {
+	n       int
+	kind    planKind
+	factors []int           // mixed: odd prime factors, in dividing order
+	m       int             // bluestein: power-of-two convolution length >= 2n-1
+	dir     [2]dirTables[C] // forward, inverse
+}
 
-func planFor(n int) *linePlan {
-	if v, ok := planCache.Load(n); ok {
-		return v.(*linePlan)
+// planCaches maps length -> *linePlan, one cache per lane.
+var planCaches [2]sync.Map // complex64, complex128
+
+func planFor[C Complex](n int) *linePlan[C] {
+	cache := &planCaches[1]
+	if _, ok := any((*C)(nil)).(*complex64); ok {
+		cache = &planCaches[0]
 	}
-	p := newPlan(n)
-	if v, loaded := planCache.LoadOrStore(n, p); loaded {
-		return v.(*linePlan)
+	if v, ok := cache.Load(n); ok {
+		return v.(*linePlan[C])
+	}
+	p := newPlan[C](n)
+	if v, loaded := cache.LoadOrStore(n, p); loaded {
+		return v.(*linePlan[C])
 	}
 	return p
 }
 
-// fullTwiddles returns w[t] = exp(-2πi t/n) for t in [0, n).
-func fullTwiddles(n int) []complex128 {
-	w := make([]complex128, n)
-	for t := range w {
-		s, c := math.Sincos(-2 * math.Pi * float64(t) / float64(n))
-		w[t] = complex(c, s)
-	}
-	return w
+// unitRoots returns exp(-iθ_k) and its conjugate for k in [0, count),
+// θ_k = 2π·k/n: each entry is computed in float64 and rounded once to
+// the lane, so the per-element error is the table's representation
+// error, not an accumulated sin/cos drift.
+func unitRoots[C Complex](n, count int) (fwd, inv []C) {
+	return expTables[C](count, func(k int) float64 { return 2 * math.Pi * float64(k) / float64(n) })
 }
 
-func newPlan(n int) *linePlan {
+// expTables returns exp(-iθ(k)) and exp(+iθ(k)) for k in [0, count).
+func expTables[C Complex](count int, theta func(k int) float64) (fwd, inv []C) {
+	fwd, inv = make([]C, count), make([]C, count)
+	for k := range fwd {
+		s, c := math.Sincos(-theta(k))
+		fwd[k], inv[k] = C(complex(c, s)), C(complex(c, -s))
+	}
+	return fwd, inv
+}
+
+func newPlan[C Complex](n int) *linePlan[C] {
+	p := &linePlan[C]{n: n}
+	f, i := &p.dir[0], &p.dir[1]
 	if IsPow2(n) {
-		return &linePlan{n: n, kind: planPow2, w: twiddles(n)}
+		p.kind = planPow2
+		f.w, i.w = unitRoots[C](n, n/2)
+		return p
 	}
 	// Peel 7-smooth factors: odd primes first, the power-of-two residue
 	// last, so every recursion path bottoms out in one contiguous
@@ -117,66 +149,92 @@ func newPlan(n int) *linePlan {
 		pow2 *= 2
 		rest /= 2
 	}
-	var odd []int
-	for _, f := range []int{3, 5, 7} {
-		for rest%f == 0 {
-			odd = append(odd, f)
-			rest /= f
+	for _, r := range []int{3, 5, 7} {
+		for rest%r == 0 {
+			p.factors = append(p.factors, r)
+			rest /= r
 		}
 	}
 	if rest == 1 {
-		return &linePlan{
-			n: n, kind: planMixed,
-			w: fullTwiddles(n), factors: odd,
-			pow2: pow2, pw: twiddles(pow2),
-		}
+		p.kind = planMixed
+		f.w, i.w = unitRoots[C](n, n)
+		f.pw, i.pw = unitRoots[C](pow2, pow2/2)
+		return p
 	}
 	// Bluestein: X[k] = a_k · (u ⊛ b)[k] with u_j = x_j·a_j,
-	// a_j = exp(-iπ j²/n), b_l = exp(+iπ l²/n) embedded circularly.
-	m := NextPow2(2*n - 1)
-	p := &linePlan{n: n, kind: planBluestein, m: m, wm: twiddles(m)}
-	p.chirp = make([]complex128, n)
-	for j := 0; j < n; j++ {
+	// a_j = exp(-iπ j²/n), b_l = exp(+iπ l²/n) embedded circularly. The
+	// inverse runs the same convolution with every factor conjugated.
+	p.kind = planBluestein
+	p.factors = nil
+	p.m = NextPow2(2*n - 1)
+	f.wm, i.wm = unitRoots[C](p.m, p.m/2)
+	f.chirp, i.chirp = expTables[C](n, func(j int) float64 {
 		t := (j * j) % (2 * n) // exp(-iπ j²/n) has period 2n in j²
-		s, c := math.Sincos(-math.Pi * float64(t) / float64(n))
-		p.chirp[j] = complex(c, s)
-	}
-	b := make([]complex128, m)
-	for j := 0; j < n; j++ {
-		v := complex(real(p.chirp[j]), -imag(p.chirp[j]))
-		b[j] = v
-		if j > 0 {
-			b[m-j] = v
+		return math.Pi * float64(t) / float64(n)
+	})
+	// Each direction's filter is the opposite direction's chirp,
+	// transformed in this direction.
+	for _, to := range [][2]*dirTables[C]{{f, i}, {i, f}} {
+		t, o := to[0], to[1]
+		b := make([]C, p.m)
+		for j, v := range o.chirp {
+			b[j] = v
+			if j > 0 {
+				b[p.m-j] = v
+			}
 		}
+		transformTw(b, t.wm)
+		t.bfft = b
 	}
-	transformTw(b, p.wm, false)
-	p.bfft = b
 	return p
 }
 
 // transform runs the unnormalized DFT (or unnormalized inverse DFT) of
 // one line in place. len(x) must equal p.n.
-func (p *linePlan) transform(x []complex128, inverse bool) {
+func (p *linePlan[C]) transform(x []C, inverse bool) {
+	t := &p.dir[0]
+	if inverse {
+		t = &p.dir[1]
+	}
 	switch p.kind {
 	case planPow2:
-		transformTw(x, p.w, inverse)
+		transformTw(x, t.w)
 	case planMixed:
-		scratch := AcquireComplex(p.n)
+		scratch := Acquire[C](p.n)
 		copy(scratch, x)
-		p.mixedRec(x, scratch, p.n, 1, 1, p.factors, inverse)
-		ReleaseComplex(scratch)
+		p.mixedRec(t, x, scratch, p.n, 1, 1, p.factors)
+		Release(scratch)
 	default:
 		p.bluestein(x, inverse)
 	}
 }
 
-// tw returns the table twiddle at index t (conjugated for inverses).
-func (p *linePlan) tw(t int, inverse bool) complex128 {
-	v := p.w[t]
-	if inverse {
-		return complex(real(v), -imag(v))
+// transformTw is the radix-2 butterfly core over a precomputed twiddle
+// table (len(w) == len(x)/2) of the wanted direction. Factoring the
+// table out lets an axis pass of an ND transform share one table
+// across all of its lines.
+func transformTw[C Complex](x []C, w []C) {
+	n := len(x)
+	// bit-reversal permutation
+	shift := 64 - uint(bits.Len(uint(n-1)))
+	for i := 0; i < n; i++ {
+		j := int(bits.Reverse64(uint64(i)) >> shift)
+		if j > i {
+			x[i], x[j] = x[j], x[i]
+		}
 	}
-	return v
+	for size := 2; size <= n; size <<= 1 {
+		half := size >> 1
+		step := n / size
+		for start := 0; start < n; start += size {
+			for k := 0; k < half; k++ {
+				a := x[start+k]
+				b := x[start+k+half] * w[k*step]
+				x[start+k] = a + b
+				x[start+k+half] = a - b
+			}
+		}
+	}
 }
 
 // mixedRec computes dst[0:n] = DFT_n of the strided sequence src[0],
@@ -184,69 +242,65 @@ func (p *linePlan) tw(t int, inverse bool) complex128 {
 // p.n/n, the spacing of this level's twiddles in the full table. With
 // factors exhausted, n is the residual power-of-two block: gather and
 // run the radix-2 core.
-func (p *linePlan) mixedRec(dst, src []complex128, n, stride, mult int, factors []int, inverse bool) {
+func (p *linePlan[C]) mixedRec(t *dirTables[C], dst, src []C, n, stride, mult int, factors []int) {
 	if len(factors) == 0 {
 		for j := 0; j < n; j++ {
 			dst[j] = src[j*stride]
 		}
 		if n > 1 {
-			transformTw(dst, p.pw, inverse)
+			transformTw(dst, t.pw)
 		}
 		return
 	}
 	r := factors[0]
 	m := n / r
 	for j2 := 0; j2 < r; j2++ {
-		p.mixedRec(dst[j2*m:(j2+1)*m], src[j2*stride:], m, stride*r, mult*r, factors[1:], inverse)
+		p.mixedRec(t, dst[j2*m:(j2+1)*m], src[j2*stride:], m, stride*r, mult*r, factors[1:])
 	}
 	// Combine: for each residue k2, an r-point DFT of the twiddled
 	// sub-spectra u_{j2} = S_{j2}[k2]·w_n^{j2·k2} lands in the slots
 	// k2 + m·k1.
-	var u [8]complex128
+	var u [8]C
 	rs := p.n / r
 	for k2 := 0; k2 < m; k2++ {
 		for j2 := 0; j2 < r; j2++ {
-			u[j2] = dst[j2*m+k2] * p.tw(mult*j2*k2, inverse)
+			u[j2] = dst[j2*m+k2] * t.w[mult*j2*k2]
 		}
 		for k1 := 0; k1 < r; k1++ {
 			s := u[0]
 			for j2 := 1; j2 < r; j2++ {
-				s += u[j2] * p.tw((j2*k1%r)*rs, inverse)
+				s += u[j2] * t.w[(j2*k1%r)*rs]
 			}
 			dst[k1*m+k2] = s
 		}
 	}
 }
 
-// bluestein runs the chirp-z transform. The unnormalized inverse DFT is
-// the conjugate of the forward on conjugated input.
-func (p *linePlan) bluestein(x []complex128, inverse bool) {
+// bluestein runs the chirp-z transform in either direction: the
+// inverse is the conjugate of the forward on conjugated input, which is
+// the forward pipeline over the conjugated tables — including the
+// convolution's own forward/inverse pair, which swaps.
+func (p *linePlan[C]) bluestein(x []C, inverse bool) {
 	n, m := p.n, p.m
+	t, o := &p.dir[0], &p.dir[1]
 	if inverse {
-		for i, v := range x {
-			x[i] = complex(real(v), -imag(v))
-		}
+		t, o = o, t
 	}
-	u := AcquireComplex(m)
+	u := Acquire[C](m)
 	for j := 0; j < n; j++ {
-		u[j] = x[j] * p.chirp[j]
+		u[j] = x[j] * t.chirp[j]
 	}
 	for j := n; j < m; j++ {
 		u[j] = 0
 	}
-	transformTw(u, p.wm, false)
+	transformTw(u, t.wm)
 	for i := range u {
-		u[i] *= p.bfft[i]
+		u[i] *= t.bfft[i]
 	}
-	transformTw(u, p.wm, true)
-	s := complex(1/float64(m), 0)
+	transformTw(u, o.wm)
+	s := C(complex(1/float64(m), 0))
 	for k := 0; k < n; k++ {
-		x[k] = p.chirp[k] * u[k] * s
+		x[k] = t.chirp[k] * u[k] * s
 	}
-	ReleaseComplex(u)
-	if inverse {
-		for i, v := range x {
-			x[i] = complex(real(v), -imag(v))
-		}
-	}
+	Release(u)
 }

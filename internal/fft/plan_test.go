@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/cmplx"
 	"testing"
-
 )
 
 // naiveIDFT is the O(n²) unnormalized inverse reference (naiveDFT, the
@@ -93,8 +92,8 @@ func TestPlanKinds(t *testing.T) {
 		{11, planBluestein}, {127, planBluestein}, {1542, planBluestein},
 	}
 	for _, tc := range cases {
-		if p := planFor(tc.n); p.kind != tc.kind {
-			t.Fatalf("planFor(%d).kind = %d, want %d", tc.n, p.kind, tc.kind)
+		if p := planFor[complex128](tc.n); p.kind != tc.kind {
+			t.Fatalf("planFor[complex128](%d).kind = %d, want %d", tc.n, p.kind, tc.kind)
 		}
 	}
 }
@@ -166,7 +165,7 @@ func BenchmarkLineFFT(b *testing.B) {
 	for _, n := range []int{768, 1024, 1542, 1600} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			x := randComplex(n, 9)
-			p := planFor(n)
+			p := planFor[complex128](n)
 			b.SetBytes(int64(16 * n))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -8,7 +8,7 @@ import "testing"
 // serving any request up to the bucket's lower bound.
 func TestPoolAcceptsNonPow2Caps(t *testing.T) {
 	drainComplexBucket := func(b int) {
-		for complexPools[b].Get() != nil {
+		for pools[3][b].Get() != nil {
 		}
 	}
 	// cap 768 lands in bucket 9 ([512, 1024)) and must serve n <= 512.
@@ -17,11 +17,11 @@ func TestPoolAcceptsNonPow2Caps(t *testing.T) {
 	reused := false
 	for attempt := 0; attempt < 20 && !reused; attempt++ {
 		drainComplexBucket(9)
-		ReleaseComplex(make([]complex128, 768))
-		got := AcquireComplex(500)
+		Release(make([]complex128, 768))
+		got := Acquire[complex128](500)
 		reused = cap(got) == 768
 		if reused {
-			ReleaseComplex(got)
+			Release(got)
 		}
 	}
 	if !reused {
@@ -31,13 +31,13 @@ func TestPoolAcceptsNonPow2Caps(t *testing.T) {
 	// The same for the real pool.
 	reused = false
 	for attempt := 0; attempt < 20 && !reused; attempt++ {
-		for realPools[9].Get() != nil {
+		for pools[1][9].Get() != nil {
 		}
-		ReleaseReal(make([]float64, 700))
-		rgot := AcquireReal(512)
+		Release(make([]float64, 700))
+		rgot := Acquire[float64](512)
 		reused = cap(rgot) == 700
 		if reused {
-			ReleaseReal(rgot)
+			Release(rgot)
 		}
 	}
 	if !reused {
@@ -46,12 +46,12 @@ func TestPoolAcceptsNonPow2Caps(t *testing.T) {
 
 	// A request larger than a bucket's guarantee must never receive a
 	// buffer that cannot hold it: n=769 looks in bucket 10, not 9.
-	ReleaseComplex(make([]complex128, 768))
-	big := AcquireComplex(769)
+	Release(make([]complex128, 768))
+	big := Acquire[complex128](769)
 	if cap(big) < 769 {
 		t.Fatalf("acquired buffer too small: cap %d for n=769", cap(big))
 	}
-	ReleaseComplex(big)
+	Release(big)
 }
 
 // TestPoolPeakBytes checks the live/peak accounting of checked-out
@@ -59,14 +59,14 @@ func TestPoolAcceptsNonPow2Caps(t *testing.T) {
 func TestPoolPeakBytes(t *testing.T) {
 	base := LiveBytes()
 	ResetPeakBytes()
-	a := AcquireComplex(1024) // 16 KiB
-	b := AcquireReal(1024)    // 8 KiB
+	a := Acquire[complex128](1024) // 16 KiB
+	b := Acquire[float64](1024)    // 8 KiB
 	wantLive := int64(cap(a))*16 + int64(cap(b))*8
 	if got := LiveBytes() - base; got != wantLive {
 		t.Fatalf("live %d, want %d", got, wantLive)
 	}
-	ReleaseComplex(a)
-	ReleaseReal(b)
+	Release(a)
+	Release(b)
 	if got := LiveBytes(); got != base {
 		t.Fatalf("live after release %d, want %d", got, base)
 	}

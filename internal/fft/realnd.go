@@ -18,12 +18,7 @@ package fft
 // pipeline inherits the plan layer's any-length support and the
 // bit-identical-at-any-worker-count property of axisPass.
 
-import (
-	"fmt"
-	"math"
-
-	"lossycorr/internal/parallel"
-)
+import "fmt"
 
 // HalfLen returns the element count of the half-spectrum of a real
 // field with the given dims: the last axis stores dims[last]/2+1 bins,
@@ -68,100 +63,55 @@ func EmbedReal(dst []float64, dstDims []int, src []float64, srcDims []int) error
 	})
 }
 
-// realTwiddles returns exp(-2πik/n) for k = 0..n/2, the unpack/repack
-// factors of the even-length real last-axis transform.
-func realTwiddles(n int) []complex128 {
-	w := make([]complex128, n/2+1)
-	for k := range w {
-		s, c := math.Sincos(-2 * math.Pi * float64(k) / float64(n))
-		w[k] = complex(c, s)
+// checkReal validates a real-input transform's shapes: positive
+// extents, the real buffer holding their product, the spectrum
+// HalfLen(dims).
+func checkReal[R Real, C Complex](re []R, dims []int, spec []C) error {
+	if len(dims) == 0 {
+		return fmt.Errorf("fft: rank-0 transform")
 	}
-	return w
-}
-
-// forLineSpans splits `lines` into at most `workers` contiguous spans
-// on the shared pool, hands each span one pooled complex scratch of
-// length scratchLen, and calls fn once per line — the fan-out pattern
-// of every last-axis real<->complex pass. Per-line work is independent
-// and span boundaries don't affect arithmetic, so results are
-// bit-identical at any worker count.
-func forLineSpans(lines, workers, scratchLen int, fn func(y []complex128, line int)) {
-	spans := parallel.Resolve(workers, lines)
-	per := (lines + spans - 1) / spans
-	parallel.For(spans, spans, func(s int) {
-		lo, hi := s*per, (s+1)*per
-		if hi > lines {
-			hi = lines
-		}
-		if lo >= hi {
-			return
-		}
-		y := AcquireComplex(scratchLen)
-		defer ReleaseComplex(y)
-		for line := lo; line < hi; line++ {
-			fn(y, line)
-		}
-	})
+	if err := checkLen(re, dims); err != nil {
+		return err
+	}
+	if len(spec) != HalfLen(dims) {
+		return fmt.Errorf("fft: half-spectrum length %d != HalfLen %d", len(spec), HalfLen(dims))
+	}
+	return nil
 }
 
 // ForwardRealND computes the unnormalized forward DFT of the real
 // row-major field src (shape dims, any extents) into dst in
-// half-spectrum form; len(dst) must be HalfLen(dims). dst is fully
-// overwritten (its prior contents are irrelevant, so pooled buffers
-// need no zeroing). The result is bit-identical at any worker count.
-func ForwardRealND(src []float64, dims []int, dst []complex128, workers int) error {
+// half-spectrum form; len(dst) must be HalfLen(dims), and the lane of
+// dst must match src's (complex128 for float64, complex64 for float32).
+// dst is fully overwritten (its prior contents are irrelevant, so
+// pooled buffers need no zeroing). The result is bit-identical at any
+// worker count.
+func ForwardRealND[R Real, C Complex](src []R, dims []int, dst []C, workers int) error {
+	if err := checkReal(src, dims, dst); err != nil {
+		return err
+	}
 	nd := len(dims)
-	if nd == 0 {
-		return fmt.Errorf("fft: rank-0 transform")
-	}
-	total := 1
-	for _, d := range dims {
-		if d < 1 {
-			return fmt.Errorf("fft: extent %d is not positive", d)
-		}
-		total *= d
-	}
-	if len(src) != total {
-		return fmt.Errorf("fft: real buffer length %d != product of %v", len(src), dims)
-	}
-	if len(dst) != HalfLen(dims) {
-		return fmt.Errorf("fft: half-spectrum length %d != HalfLen %d", len(dst), HalfLen(dims))
-	}
 	nx := dims[nd-1]
 	hc := nx/2 + 1
-	lines := total / nx
+	lines := len(src) / nx
 
 	if nx%2 == 0 && nx > 1 {
 		// Even last axis: pack pairs into an nx/2-point complex FFT,
 		// then unpick the hermitian bins.
 		N := nx / 2
-		p := planFor(N)
-		rw := realTwiddles(nx)
-		forLineSpans(lines, workers, N, func(y []complex128, li int) {
-			in := src[li*nx : (li+1)*nx]
-			out := dst[li*hc : (li+1)*hc]
-			for j := 0; j < N; j++ {
-				y[j] = complex(in[2*j], in[2*j+1])
-			}
+		p := planFor[C](N)
+		rw, _ := unitRoots[C](nx, N+1)
+		forLineSpans(lines, workers, N, func(y []C, li int) {
+			loadLine(y, src[li*nx:(li+1)*nx])
 			p.transform(y, false)
-			for k := 0; k <= N; k++ {
-				yk := y[k%N]
-				ynk := y[(N-k)%N]
-				cynk := complex(real(ynk), -imag(ynk))
-				e := (yk + cynk) * 0.5
-				o := (yk - cynk) * complex(0, -0.5)
-				out[k] = e + rw[k]*o
-			}
+			unpickHalf(dst[li*hc:(li+1)*hc], y, rw)
 		})
 	} else {
 		// Odd (or unit) last axis: full complex line transform, keep
 		// the first hc bins.
-		p := planFor(nx)
-		forLineSpans(lines, workers, nx, func(y []complex128, li int) {
-			in := src[li*nx : (li+1)*nx]
-			for j, v := range in {
-				y[j] = complex(v, 0)
-			}
+		p := planFor[C](nx)
+		forLineSpans(lines, workers, nx, func(y []C, li int) {
+			loadLine(y, src[li*nx:(li+1)*nx])
 			p.transform(y, false)
 			copy(dst[li*hc:(li+1)*hc], y[:hc])
 		})
@@ -178,30 +128,17 @@ func ForwardRealND(src []float64, dims []int, dst []complex128, workers int) err
 // InverseRealND inverts ForwardRealND: spec is a half-spectrum of shape
 // dims (it is clobbered), dst receives the real field and must have
 // length = product of dims. The normalization matches Inverse/InverseND:
-// InverseRealND(ForwardRealND(x)) == x. Bit-identical at any worker
-// count.
-func InverseRealND(spec []complex128, dims []int, dst []float64, workers int) error {
+// InverseRealND(ForwardRealND(x)) == x (to the lane's roundoff). The
+// normalization factor is computed in float64 and rounded once to the
+// lane. Bit-identical at any worker count.
+func InverseRealND[R Real, C Complex](spec []C, dims []int, dst []R, workers int) error {
+	if err := checkReal(dst, dims, spec); err != nil {
+		return err
+	}
 	nd := len(dims)
-	if nd == 0 {
-		return fmt.Errorf("fft: rank-0 transform")
-	}
-	total := 1
-	for _, d := range dims {
-		if d < 1 {
-			return fmt.Errorf("fft: extent %d is not positive", d)
-		}
-		total *= d
-	}
-	if len(dst) != total {
-		return fmt.Errorf("fft: real buffer length %d != product of %v", len(dst), dims)
-	}
-	if len(spec) != HalfLen(dims) {
-		return fmt.Errorf("fft: half-spectrum length %d != HalfLen %d", len(spec), HalfLen(dims))
-	}
 	nx := dims[nd-1]
 	hc := nx/2 + 1
-	lines := total / nx
-	lead := lines // product of leading extents
+	lines := len(dst) / nx // also the product of the leading extents
 
 	// Leading axes first: unnormalized inverse passes at fixed last-axis
 	// bin; per-line hermitian symmetry along the last axis survives them.
@@ -215,46 +152,54 @@ func InverseRealND(spec []complex128, dims []int, dst []float64, workers int) er
 		// hermitian bins, one unnormalized inverse FFT of length N per
 		// line, then unpack interleaved reals.
 		N := nx / 2
-		p := planFor(N)
-		rw := realTwiddles(nx)
-		scale := 1 / (float64(N) * float64(lead))
-		forLineSpans(lines, workers, N, func(y []complex128, li int) {
-			in := spec[li*hc : (li+1)*hc]
-			out := dst[li*nx : (li+1)*nx]
-			for k := 0; k < N; k++ {
-				xk := in[k]
-				xnk := in[N-k]
-				cxnk := complex(real(xnk), -imag(xnk))
-				e := (xk + cxnk) * 0.5
-				o := (xk - cxnk) * 0.5 * complex(real(rw[k]), -imag(rw[k]))
-				y[k] = e + o*complex(0, 1)
-			}
+		p := planFor[C](N)
+		_, rwInv := unitRoots[C](nx, N+1)
+		scale := 1 / (float64(N) * float64(lines))
+		forLineSpans(lines, workers, N, func(y []C, li int) {
+			repackHalf(y, spec[li*hc:(li+1)*hc], rwInv)
 			p.transform(y, true)
-			for j := 0; j < N; j++ {
-				out[2*j] = real(y[j]) * scale
-				out[2*j+1] = imag(y[j]) * scale
-			}
+			storeLine(dst[li*nx:(li+1)*nx], y, scale)
 		})
 	} else {
 		// Odd (or unit) last axis: mirror the hermitian bins into a full
 		// line, one unnormalized complex inverse, keep the real parts.
-		p := planFor(nx)
-		scale := 1 / (float64(nx) * float64(lead))
-		forLineSpans(lines, workers, nx, func(y []complex128, li int) {
-			in := spec[li*hc : (li+1)*hc]
-			out := dst[li*nx : (li+1)*nx]
-			copy(y[:hc], in)
-			for k := hc; k < nx; k++ {
-				v := in[nx-k]
-				y[k] = complex(real(v), -imag(v))
-			}
+		p := planFor[C](nx)
+		scale := 1 / (float64(nx) * float64(lines))
+		forLineSpans(lines, workers, nx, func(y []C, li int) {
+			mirrorHalf(y, spec[li*hc:(li+1)*hc])
 			p.transform(y, true)
-			for j := 0; j < nx; j++ {
-				out[j] = real(y[j]) * scale
-			}
+			storeLine(dst[li*nx:(li+1)*nx], y, scale)
 		})
 	}
 	return nil
+}
+
+// Autocorrelate replaces the real field z (shape dims, zero-padded by
+// the caller wherever wrap-around must not alias) with its circular
+// autocorrelation c(h) = Σ_x z(x)·z(x+h): one forward real transform,
+// |Z|², one inverse, through a single pooled half-spectrum of z's
+// lane. Bit-identical at any worker count.
+func Autocorrelate[R Real](z []R, dims []int, workers int) error {
+	switch z := any(z).(type) {
+	case []float64:
+		return autocorrelate[float64, complex128](z, dims, workers)
+	case []float32:
+		return autocorrelate[float32, complex64](z, dims, workers)
+	}
+	panic(errLane)
+}
+
+func autocorrelate[R Real, C Complex](z []R, dims []int, workers int) error {
+	if len(dims) == 0 {
+		return fmt.Errorf("fft: rank-0 transform")
+	}
+	sp := Acquire[C](HalfLen(dims))
+	defer Release(sp)
+	if err := ForwardRealND(z, dims, sp, workers); err != nil {
+		return err
+	}
+	AbsSq(sp)
+	return InverseRealND(sp, dims, z, workers)
 }
 
 // MulConj sets a[i] = conj(a[i])·b[i] — the cross-correlation spectrum
@@ -264,15 +209,6 @@ func InverseRealND(spec []complex128, dims []int, dst []float64, workers int) er
 func MulConj(a, b []complex128) {
 	for i, v := range a {
 		a[i] = complex(real(v), -imag(v)) * b[i]
-	}
-}
-
-// AbsSq sets a[i] = |a[i]|² — the autocorrelation spectrum of the real
-// signal whose half-spectrum a holds. Real and even, hence hermitian: a
-// valid InverseRealND input.
-func AbsSq(a []complex128) {
-	for i, v := range a {
-		a[i] = complex(real(v)*real(v)+imag(v)*imag(v), 0)
 	}
 }
 

@@ -70,11 +70,11 @@ func sameExtents(a, b []int) bool {
 	return true
 }
 
-// summarize is the one-pass Welford min/max/mean/variance shared by both
-// lanes; accumulation is float64 regardless of T, so the float64
+// Summarize is the one-pass Welford min/max/mean/variance shared by both
+// lanes (and by lane-generic consumers of raw data); accumulation is float64 regardless of T, so the float64
 // instantiation reproduces (*grid.Grid).Summary bitwise and the float32
 // lane gets full-precision statistics from narrow samples.
-func summarize[T Elem](data []T) grid.Stats {
+func Summarize[T Elem](data []T) grid.Stats {
 	s := grid.Stats{Min: math.Inf(1), Max: math.Inf(-1)}
 	if len(data) == 0 {
 		return grid.Stats{}

@@ -151,7 +151,7 @@ func (f *Field) Clone() *Field {
 // arithmetic identical to (*grid.Grid).Summary so statistics computed
 // through the field layer reproduce the historical 2D values bitwise.
 func (f *Field) Summary() grid.Stats {
-	return summarize(f.Data)
+	return Summarize(f.Data)
 }
 
 // SameShape reports whether two fields agree in rank and extents.

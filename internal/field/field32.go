@@ -101,7 +101,7 @@ func (f *Field32) Clone() *Field32 {
 // Summary computes min/max/mean/variance in one float64-accumulated
 // Welford pass over the narrow samples.
 func (f *Field32) Summary() grid.Stats {
-	return summarize(f.Data)
+	return Summarize(f.Data)
 }
 
 // SameShape reports whether two fields agree in rank and extents.

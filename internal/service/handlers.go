@@ -465,13 +465,16 @@ func validateMaxLag(maxLag, minDim int) error {
 }
 
 // predictedPeakBytes estimates the transform working set of one
-// pipeline run on u before it is admitted: the FFT exact engine holds
-// at most four padded planes of Π_k FastLen(dim_k + L) elements at the
-// lane's width (the float64 engine peaks at 2 real + 2 half-spectrum
-// planes; the float32 engine at one fewer, so four is an upper bound
-// for both). Without the FFT engine the working set is the windowed
-// extraction's, bounded by the field itself — which the body cap
-// already limits — so the prediction degenerates to the field bytes.
+// pipeline run on u before it is admitted, in padded planes of
+// Π_k FastLen(dim_k + L) elements at the lane's width. The FFT exact
+// engine holds one real plane, one half-spectrum (about one plane
+// more), and a float64 summed-area table of Π_k (dim_k + 1) elements —
+// under one plane on the float64 lane, at most two on the float32
+// lane, whose planes are half as wide — so four planes bound both
+// lanes with room for the per-line transform scratch. Without the FFT
+// engine the working set is the windowed extraction's, bounded by the
+// field itself — which the body cap already limits — so the
+// prediction degenerates to the field bytes.
 func predictedPeakBytes(u uploadField, p analysisParams) int64 {
 	dims := u.shape()
 	lag := p.maxLag

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http"
+	"runtime"
 	"testing"
 	"time"
 
@@ -170,6 +171,64 @@ func TestMemBudgetFFTPrediction(t *testing.T) {
 	// predicts at least 4·48²·8 bytes.
 	if min := int64(4 * 48 * 48 * 8); rej.PredictedPeakBytes < min {
 		t.Fatalf("FFT prediction %d < plane-formula floor %d", rej.PredictedPeakBytes, min)
+	}
+}
+
+// TestMemBudgetFFTPredictionBoundsPeak checks the admission formula
+// against what the FFT exact engine actually holds: for both lanes and
+// both ranks, a vfft job's measured pool peak is at most its predicted
+// peak, on a cold pool (flushed by two GCs) and on a pool warmed by a
+// job of the same shape.
+func TestMemBudgetFFTPredictionBoundsPeak(t *testing.T) {
+	// A budget far above any prediction: admission charges (and so
+	// reports) the prediction only when a budget is set.
+	_, hs := testServer(t, Config{MemBudget: 1 << 30, Executors: 1})
+	body := func(shape []int, seed uint64, narrow bool) []byte {
+		var f *field.Field
+		if len(shape) == 3 {
+			v, err := gaussian.Generate3D(gaussian.Params3D{Nz: shape[0], Ny: shape[1], Nx: shape[2], Range: 4, Seed: seed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			f = field.FromVolume(v)
+		} else {
+			g, err := gaussian.Generate(gaussian.Params{Rows: shape[0], Cols: shape[1], Range: 6, Seed: seed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			f = field.FromGrid(g)
+		}
+		var buf bytes.Buffer
+		write := f.WriteBinary
+		if narrow {
+			write = f.Narrow().WriteBinary
+		}
+		if err := write(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	for _, shape := range [][]int{{48, 40}, {16, 20, 18}} {
+		for _, narrow := range []bool{false, true} {
+			runtime.GC() // two cycles empty the sync.Pool-backed buffer pools
+			runtime.GC()
+			for i, pool := range []string{"cold", "warm"} {
+				code, data := postBin(t, hs.URL+"/v1/jobs/analyze?skiplocal=true&vfft=true", body(shape, uint64(20+i), narrow))
+				if code != http.StatusAccepted {
+					t.Fatalf("shape %v narrow %t: status %d: %s", shape, narrow, code, data)
+				}
+				var info JobInfo
+				mustJSON(t, data, &info)
+				done := waitJobTerminal(t, hs.URL, info.ID)
+				if done.State != JobDone {
+					t.Fatalf("job ended %s: %s", done.State, done.Error)
+				}
+				if done.PoolPeakBytes <= 0 || done.PoolPeakBytes > info.PredictedPeakBytes {
+					t.Errorf("shape %v narrow %t, %s pool: measured peak %d outside (0, predicted %d]",
+						shape, narrow, pool, done.PoolPeakBytes, info.PredictedPeakBytes)
+				}
+			}
+		}
 	}
 }
 

@@ -1,12 +1,14 @@
 package variogram
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
 
 	"lossycorr/internal/fft"
 	"lossycorr/internal/field"
+	"lossycorr/internal/stat"
 	"lossycorr/internal/xrand"
 )
 
@@ -35,7 +37,7 @@ func TestFFT32MatchesExactScan(t *testing.T) {
 		}
 		var ref *Empirical
 		for _, workers := range []int{1, 3, 8} {
-			ff, err := ComputeField32(f32, Options{FFT: true, MaxLag: tc.maxLag, Workers: workers})
+			ff, err := computeData(context.Background(), f32.Data, f32.Shape, Options{FFT: true, MaxLag: tc.maxLag, Workers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -80,7 +82,7 @@ func TestFFT32LargeMean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ff, err := ComputeField32(f32, Options{FFT: true})
+	ff, err := computeData(context.Background(), f32.Data, f32.Shape, Options{FFT: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +105,7 @@ func TestFFT32LagBeyondExtent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ff, err := ComputeField32(f32, Options{FFT: true, MaxLag: 16})
+	ff, err := computeData(context.Background(), f32.Data, f32.Shape, Options{FFT: true, MaxLag: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +133,7 @@ func TestDirectScans32MatchOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ff, err := ComputeField32(f32, opts)
+		ff, err := computeData(context.Background(), f32.Data, f32.Shape, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -157,7 +159,7 @@ func TestLocalRanges32MatchOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ff, err := LocalRangesField32(f32, 16, Options{Workers: 3})
+	ff, err := stat.Windows(context.Background(), stat.Source{F32: f32}, LocalRangeKernel{}, 16, 3, nil, Options{Workers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,20 +184,20 @@ func TestFFT32PoisonedPools(t *testing.T) {
 			cbufs := make([][]complex64, perBucket)
 			rbufs := make([][]float32, perBucket)
 			for i := 0; i < perBucket; i++ {
-				c := fft.AcquireComplex64(n)
+				c := fft.Acquire[complex64](n)
 				for j := range c {
 					c[j] = complex(float32(math.NaN()), float32(math.NaN()))
 				}
 				cbufs[i] = c
-				r := fft.AcquireReal32(n)
+				r := fft.Acquire[float32](n)
 				for j := range r {
 					r[j] = float32(math.NaN())
 				}
 				rbufs[i] = r
 			}
 			for i := 0; i < perBucket; i++ {
-				fft.ReleaseComplex64(cbufs[i])
-				fft.ReleaseReal32(rbufs[i])
+				fft.Release(cbufs[i])
+				fft.Release(rbufs[i])
 			}
 		}
 	}
@@ -206,7 +208,7 @@ func TestFFT32PoisonedPools(t *testing.T) {
 			t.Fatal(err)
 		}
 		poison(1 << 18)
-		ff, err := ComputeField32(f32, Options{FFT: true, MaxLag: tc.maxLag})
+		ff, err := computeData(context.Background(), f32.Data, f32.Shape, Options{FFT: true, MaxLag: tc.maxLag})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -223,7 +225,7 @@ func TestFFT32PoisonedPools(t *testing.T) {
 		orig := padLenFn
 		padLenFn = func(n int) int { return n }
 		poison(1 << 18)
-		fb, err := ComputeField32(f32, Options{FFT: true, MaxLag: tc.maxLag})
+		fb, err := computeData(context.Background(), f32.Data, f32.Shape, Options{FFT: true, MaxLag: tc.maxLag})
 		padLenFn = orig
 		if err != nil {
 			t.Fatal(err)
@@ -250,7 +252,7 @@ func BenchmarkVariogramFFT32(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				fft.ResetPeakBytes()
-				if _, err := ComputeField32(f32, Options{FFT: true}); err != nil {
+				if _, err := computeData(context.Background(), f32.Data, f32.Shape, Options{FFT: true}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -264,7 +266,7 @@ func BenchmarkVariogramFFT32_3D(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		fft.ResetPeakBytes()
-		if _, err := ComputeField32(f32, Options{FFT: true}); err != nil {
+		if _, err := computeData(context.Background(), f32.Data, f32.Shape, Options{FFT: true}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,37 +1,42 @@
 package variogram
 
-// Float32-lane FFT exact engine. Same transform identities as
-// fftscan.go, restructured around what a dense rectangular domain
-// makes closed-form — so the lane runs ONE forward and ONE inverse
-// transform where the float64 engine runs three and two:
+// FFT exact engine, one for both lanes. The exhaustive scan costs
+// O(N·L^d): every lag offset re-sweeps the whole array. But each of
+// its per-offset quantities is a correlation or has a closed form on a
+// dense rectangular domain B:
+//
+//	S(h) = Σ_{x∈B∩(B−h)} (z(x) − z(x+h))²
+//	     = W(B∩(B−h)) + W(B∩(B+h)) − 2·c_zz(h)
+//	N(h) = Π_k (dim_k − |h_k|)
+//
+// where c_zz(h) = Σ_x z(x)·z(x+h) is the linear autocorrelation and
+// W(R) the sum of z² over the box R. Three choices make that cheap and
+// robust on either lane:
 //
 //  1. The field mean (computed in float64) is subtracted at embed
-//     time. S(h) = Σ (z(x) − z(x+h))² is exactly shift-invariant, and
-//     centering shrinks the |Z|² plane magnitudes by the squared
-//     mean — which is where float32 cancellation error would
-//     otherwise concentrate on fields with a large DC component.
-//  2. Pair counts are not read from a mask autocorrelation plane. For
-//     a dense rectangular domain they have the closed form
-//     N(h) = Π_k (dim_k − |h_k|), which is what the direct scan
-//     counts — exactly. (A float32 c_mm plane at Miranda scale
-//     carries ~1e-6 relative error on counts of ~1e6, i.e. ±1 pair
-//     after rounding; the closed form removes that hazard entirely.)
-//  3. The z²·m cross-correlation is not transformed either. On a
-//     dense domain c_wm(h) = Σ_{x∈B∩(B−h)} z²(x) is a box sum of
-//     centered z² over a clipped rectangle, which a float64
-//     summed-area table answers exactly in 2^d corner reads per lag.
-//     That removes the z²·m forward, the mask forward, AND the c_wm
-//     inverse — the three transforms that made the float32 lane run
-//     at float64 parity — and upgrades the z² term from float32
-//     transform roundoff to float64 prefix-sum accuracy.
+//     time. S(h) is exactly shift-invariant, and centring keeps the
+//     |Z|² plane at the scale of the fluctuations rather than of the
+//     squared mean — without it a field offset by 1e8σ loses its
+//     variogram to cancellation on either lane.
+//  2. Pair counts come from the closed form, which is what the direct
+//     scan counts — exactly, with no rounded mask correlation.
+//  3. The z² box sums come from a float64 summed-area table (SAT) of
+//     centred z², 2^d corner reads per lag at prefix-sum accuracy.
 //
-// What remains on the FFT side is the autocorrelation pair:
-// forward(z centered) → |Z|² → inverse, over one float32 staging
-// plane (reused as the c_zz output) and one complex64 half-spectrum.
-// Peak transform bytes are the two planes plus the (unpadded) float64
-// SAT — the fftPeakMB gauges in BENCH_pr7.json record the lane pair.
-// Per-bin folds accumulate in float64 in canonical offset order, so
-// results are bit-identical at any worker count.
+// What remains on the FFT side is one autocorrelation: the centred
+// field zero-padded to FastLen(dim+L) per axis (so circular wrap never
+// aliases a lag |h_k| <= L), one real forward transform, |Z|², one real
+// inverse, over one real plane of the field's lane (reused as the c_zz
+// output) and one half-spectrum. Peak transform bytes are those two
+// plus the unpadded float64 SAT. Arbitrary exact extents remain
+// available through the fft package's Bluestein plan; padLenFn is
+// swappable in tests to push the whole pipeline through that path.
+//
+// The per-offset results are folded into the same rounded-distance
+// bins, in the same canonical enumeration order, as the direct scan,
+// accumulating in float64; pair counts agree exactly and Gamma to
+// roundoff (the equivalence tests pin 1e-9 relative on the float64
+// lane), and results are bit-identical at any worker count.
 
 import (
 	"context"
@@ -42,14 +47,23 @@ import (
 	"lossycorr/internal/parallel"
 )
 
-func fftScanField32(ctx context.Context, f *field.Field32, o Options) (*Empirical, error) {
+// padLenFn chooses the padded extent for a required minimum length.
+// FastLen keeps every axis on the mixed-radix fast path at a few
+// percent of slack; tests swap in an identity to drive the exact
+// (Bluestein) lengths through the full engine.
+var padLenFn = fft.FastLen
+
+// fftScanData computes the exact binned variogram of a field of either
+// lane through the identities above. Cancellation is observed at stage
+// boundaries (SAT build, embed, the transform pair, each bin), and every
+// pooled buffer is released on the way out.
+func fftScanData[T field.Elem](ctx context.Context, data []T, dims []int, o Options) (*Empirical, error) {
 	stage := func() error {
 		if ctx == nil {
 			return nil
 		}
 		return ctx.Err()
 	}
-	dims := f.Shape
 	nd := len(dims)
 	if nd < 1 {
 		return nil, fmt.Errorf("variogram: rank-0 field")
@@ -64,11 +78,10 @@ func fftScanField32(ctx context.Context, f *field.Field32, o Options) (*Empirica
 		}
 		total *= pad[k]
 	}
-	half := fft.HalfLen(pad)
-	mean := f.Summary().Mean
+	mean := field.Summarize(data).Mean
 
-	// Summed-area table of centered z², extents dims[k]+1 with zero
-	// borders at index 0 — the closed form for every c_wm box sum.
+	// Summed-area table of centred z², extents dims[k]+1 with zero
+	// borders at index 0 — the closed form for every W box sum.
 	satDims := make([]int, nd)
 	satStride := make([]int, nd)
 	satTotal := 1
@@ -77,25 +90,22 @@ func fftScanField32(ctx context.Context, f *field.Field32, o Options) (*Empirica
 		satStride[k] = satTotal
 		satTotal *= satDims[k]
 	}
-	sat := fft.AcquireReal(satTotal)
-	defer fft.ReleaseReal(sat)
-	buildCenteredSqSAT(f, mean, sat, satDims, satStride)
+	sat := fft.Acquire[float64](satTotal)
+	defer fft.Release(sat)
+	buildCenteredSqSAT(data, dims, mean, sat, satDims, satStride)
 	if err := stage(); err != nil {
 		return nil, err
 	}
 
-	// r is the one real staging plane: padded centered z in, the c_zz
+	// r is the one real staging plane: padded centred z in, the c_zz
 	// autocorrelation out.
-	r := fft.AcquireReal32(total)
-	defer fft.ReleaseReal32(r)
-	for i := range r {
-		r[i] = 0
-	}
+	r := fft.Acquire[T](total)
+	defer fft.Release(r)
+	clear(r)
 	if err := fft.ForEachEmbeddedRow(dims, pad, func(srcOff, dstOff, n int) {
-		src := f.Data[srcOff : srcOff+n]
 		dst := r[dstOff : dstOff+n]
-		for i, v := range src {
-			dst[i] = float32(float64(v) - mean)
+		for i, v := range data[srcOff : srcOff+n] {
+			dst[i] = T(float64(v) - mean)
 		}
 	}); err != nil {
 		return nil, err
@@ -103,21 +113,11 @@ func fftScanField32(ctx context.Context, f *field.Field32, o Options) (*Empirica
 	if err := stage(); err != nil {
 		return nil, err
 	}
-	spZ := fft.AcquireComplex64(half)
-	defer func() { fft.ReleaseComplex64(spZ) }()
-	if err := fft.ForwardRealND32(r, pad, spZ, o.Workers); err != nil {
+	// The padded field is spent; the autocorrelation lands in place.
+	if err := fft.Autocorrelate(r, pad, o.Workers); err != nil {
 		return nil, err
 	}
-	fft.AbsSq32(spZ)
-	if err := stage(); err != nil {
-		return nil, err
-	}
-	czz := r // the padded field is spent; the autocorrelation lands in place
-	if err := fft.InverseRealND32(spZ, pad, czz, o.Workers); err != nil {
-		return nil, err
-	}
-	fft.ReleaseComplex64(spZ)
-	spZ = nil
+	czz := r
 
 	// Fold per-offset correlations into distance bins, in the same
 	// canonical order as the direct scan, accumulating in float64.
@@ -152,8 +152,8 @@ func fftScanField32(ctx context.Context, f *field.Field32, o Options) (*Empirica
 					break
 				}
 				n *= int64(dims[k] - a)
-				// Axis ranges of the two overlap boxes: B∩(B−h) for
-				// the c_wm(h) term, B∩(B+h) for c_wm(−h).
+				// Axis ranges of the two overlap boxes B∩(B−h) and
+				// B∩(B+h) whose z² sums W enter S(h).
 				if h >= 0 {
 					idx += h * pStride[k]
 					lo1[k], hi1[k] = 0, dims[k]-h
@@ -187,12 +187,9 @@ func fftScanField32(ctx context.Context, f *field.Field32, o Options) (*Empirica
 // sums of (z−mean)². Every element is written — pooled buffers carry
 // unspecified contents — and the axis passes run over contiguous
 // blocks, so the build is d linear sweeps.
-func buildCenteredSqSAT(f *field.Field32, mean float64, sat []float64, satDims, satStride []int) {
-	for i := range sat {
-		sat[i] = 0
-	}
+func buildCenteredSqSAT[T field.Elem](data []T, dims []int, mean float64, sat []float64, satDims, satStride []int) {
+	clear(sat)
 	nd := len(satDims)
-	dims := f.Shape
 	rowLen := dims[nd-1]
 	idx := make([]int, nd)
 	src := 0
@@ -201,7 +198,7 @@ func buildCenteredSqSAT(f *field.Field32, mean float64, sat []float64, satDims, 
 		for k := 0; k < nd-1; k++ {
 			dst += (idx[k] + 1) * satStride[k]
 		}
-		row := f.Data[src : src+rowLen]
+		row := data[src : src+rowLen]
 		for i, v := range row {
 			d := float64(v) - mean
 			sat[dst+i] = d * d

@@ -11,8 +11,8 @@ import (
 	"fmt"
 	"math"
 
-	"lossycorr/internal/field"
 	"lossycorr/internal/fft"
+	"lossycorr/internal/field"
 	"lossycorr/internal/parallel"
 )
 
@@ -30,19 +30,19 @@ func fftScanFieldComplexRef(f *field.Field, o Options) (*Empirical, error) {
 		total *= pad[k]
 	}
 
-	bz := fft.AcquireComplex(total)
-	defer fft.ReleaseComplex(bz)
+	bz := fft.Acquire[complex128](total)
+	defer fft.Release(bz)
 	if err := fft.PadReal(bz, pad, f.Data, dims); err != nil {
 		return nil, err
 	}
-	bw := fft.AcquireComplex(total)
-	defer fft.ReleaseComplex(bw)
+	bw := fft.Acquire[complex128](total)
+	defer fft.Release(bw)
 	for i, v := range bz {
 		r := real(v)
 		bw[i] = complex(r*r, 0)
 	}
-	bm := fft.AcquireComplex(total)
-	defer fft.ReleaseComplex(bm)
+	bm := fft.Acquire[complex128](total)
+	defer fft.Release(bm)
 	for i := range bm {
 		bm[i] = 0
 	}

@@ -7,8 +7,8 @@ import (
 	"strconv"
 	"testing"
 
-	"lossycorr/internal/field"
 	"lossycorr/internal/fft"
+	"lossycorr/internal/field"
 	"lossycorr/internal/xrand"
 )
 
@@ -214,7 +214,7 @@ func TestFFTComplexRefMatches(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		o := (&Options{MaxLag: tc.maxLag}).withFieldDefaults(f)
+		o := (&Options{MaxLag: tc.maxLag}).withShapeDefaults(f.Shape)
 		ff, err := fftScanFieldComplexRef(f, o)
 		if err != nil {
 			t.Fatal(err)
@@ -233,27 +233,27 @@ func poisonPools(maxElems int) {
 		cbufs := make([][]complex128, perBucket)
 		rbufs := make([][]float64, perBucket)
 		for i := 0; i < perBucket; i++ {
-			c := fft.AcquireComplex(n)
+			c := fft.Acquire[complex128](n)
 			for j := range c {
 				c[j] = complex(math.NaN(), math.NaN())
 			}
 			cbufs[i] = c
-			r := fft.AcquireReal(n)
+			r := fft.Acquire[float64](n)
 			for j := range r {
 				r[j] = math.NaN()
 			}
 			rbufs[i] = r
 		}
 		for i := 0; i < perBucket; i++ {
-			fft.ReleaseComplex(cbufs[i])
-			fft.ReleaseReal(rbufs[i])
+			fft.Release(cbufs[i])
+			fft.Release(rbufs[i])
 		}
 	}
 }
 
 // TestFFTPoisonedPools re-runs the 2D/3D equivalence suite with every
-// pool bucket pre-filled with NaN-poisoned buffers: AcquireComplex/
-// AcquireReal return unspecified contents, and the engine must
+// pool bucket pre-filled with NaN-poisoned buffers: fft.Acquire returns
+// unspecified contents, and the engine must
 // overwrite every element it reads (padding fill, mask embed, spectrum
 // stages) rather than assume zeroed scratch.
 func TestFFTPoisonedPools(t *testing.T) {
@@ -284,11 +284,12 @@ func TestFFTPoisonedPools(t *testing.T) {
 	}
 }
 
-// TestFFTMemorySmoke pins the tentpole's memory claim: the real-input
+// TestFFTMemorySmoke pins the engine's memory claim: the real-input
 // engine's peak transform-buffer bytes on a 512² field (default
 // cutoff 256) must be at most 55% of the PR 3 complex-path engine's
 // working set — three complex NextPow2(512+256)² buffers, ~50 MiB.
-// (Measured: ~19 MiB ≈ 38%.)
+// (Measured: ~11 MiB ≈ 23%: one real plane, one half-spectrum, and
+// the summed-area table.)
 func TestFFTMemorySmoke(t *testing.T) {
 	f := randomField([]int{512, 512}, 77)
 	fft.ResetPeakBytes()
@@ -364,7 +365,7 @@ func reportFFTPeak(b *testing.B, shape []int, maxLag int) {
 	b.ReportMetric(float64(complexRefPeakBytes(shape, maxLag))/(1<<20), "fftComplexRefMB")
 }
 
-// defaultCutoff mirrors withFieldDefaults: MaxLag 0 means min extent/2.
+// defaultCutoff mirrors withShapeDefaults: MaxLag 0 means min extent/2.
 func defaultCutoff(shape []int) int {
 	m := shape[0]
 	for _, d := range shape {
@@ -402,7 +403,7 @@ func BenchmarkVariogramFFTComplexRef(b *testing.B) {
 	for _, n := range benchScanSizes() {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			f := randomField([]int{n, n}, 11)
-			o := (&Options{}).withFieldDefaults(f)
+			o := (&Options{}).withShapeDefaults(f.Shape)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				fft.ResetPeakBytes()

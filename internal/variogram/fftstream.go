@@ -1,7 +1,11 @@
 package variogram
 
-// Sharded spectral engine: the fftscan.go transform identities, run
-// slab-by-slab along axis 0 so the padded planes fit a memory budget.
+// Sharded spectral engine: the out-of-core counterpart of the in-RAM
+// FFT exact engine (fftexact.go), run slab-by-slab along axis 0 so the
+// padded planes fit a memory budget. A slab's domain is not a plain
+// box of the field, so instead of closed-form counts and box sums it
+// carries the identities in their indicator-mask form, with m the
+// domain indicator, w = z²·m, and c_ab(h) = Σ_x a(x)·b(x+h).
 //
 // Canonical offsets (first nonzero component positive) always have
 // h₀ ≥ 0, so partitioning pairs by the axis-0 coordinate of the BASE
@@ -79,8 +83,8 @@ func fftShardSize(dims []int, nb int, budgetBytes int64) (int, error) {
 	return b, nil
 }
 
-// fftScanReader is the out-of-core fftScanField: identical transform
-// identities, evaluated in axis-0 slabs sized by the byte budget.
+// fftScanReader is the out-of-core FFT exact engine: the mask-form
+// identities above, evaluated in axis-0 slabs sized by the byte budget.
 func fftScanReader(ctx context.Context, tr *field.TileReader, o Options, so field.StreamOptions) (*Empirical, error) {
 	stage := func() error {
 		if ctx == nil {
@@ -131,11 +135,11 @@ func fftScanReader(ctx context.Context, tr *field.TileReader, o Options, so fiel
 			blo := make([]int, nd)
 			blo[0] = z0
 			bhi := append([]int{z2}, dims[1:]...)
-			blkBuf := fft.AcquireRealTight((z2 - z0) * rest)
+			blkBuf := fft.AcquireTight[float64]((z2 - z0) * rest)
 			blkDone := false
 			releaseBlk := func() {
 				if !blkDone {
-					fft.ReleaseReal(blkBuf)
+					fft.Release(blkBuf)
 					blkDone = true
 				}
 			}
@@ -144,8 +148,8 @@ func fftScanReader(ctx context.Context, tr *field.TileReader, o Options, so fiel
 			if err := tr.ReadBlock(blk, blo, bhi); err != nil {
 				return err
 			}
-			r := fft.AcquireRealTight(total)
-			defer fft.ReleaseReal(r)
+			r := fft.AcquireTight[float64](total)
+			defer fft.Release(r)
 			// Base-region z: the base block is a prefix of the extended
 			// block (axis 0 is slowest).
 			baseLen := (z1 - z0) * rest
@@ -155,16 +159,16 @@ func fftScanReader(ctx context.Context, tr *field.TileReader, o Options, so fiel
 			if err := stage(); err != nil {
 				return err
 			}
-			spZa := fft.AcquireComplexTight(half)
-			defer func() { fft.ReleaseComplex(spZa) }()
+			spZa := fft.AcquireTight[complex128](half)
+			defer func() { fft.Release(spZa) }()
 			if err := fft.ForwardRealND(r, pad, spZa, o.Workers); err != nil {
 				return err
 			}
 			for i, v := range r { // w_a = z²·m_a: zero padding stays zero
 				r[i] = v * v
 			}
-			spWa := fft.AcquireComplexTight(half)
-			defer func() { fft.ReleaseComplex(spWa) }()
+			spWa := fft.AcquireTight[complex128](half)
+			defer func() { fft.Release(spWa) }()
 			if err := fft.ForwardRealND(r, pad, spWa, o.Workers); err != nil {
 				return err
 			}
@@ -181,8 +185,8 @@ func fftScanReader(ctx context.Context, tr *field.TileReader, o Options, so fiel
 			if err := stage(); err != nil {
 				return err
 			}
-			spMa := fft.AcquireComplexTight(half)
-			defer func() { fft.ReleaseComplex(spMa) }()
+			spMa := fft.AcquireTight[complex128](half)
+			defer func() { fft.Release(spMa) }()
 			if err := fft.ForwardRealND(r, pad, spMa, o.Workers); err != nil {
 				return err
 			}
@@ -194,14 +198,14 @@ func fftScanReader(ctx context.Context, tr *field.TileReader, o Options, so fiel
 			if err := stage(); err != nil {
 				return err
 			}
-			spZb := fft.AcquireComplexTight(half)
+			spZb := fft.AcquireTight[complex128](half)
 			if err := fft.ForwardRealND(r, pad, spZb, o.Workers); err != nil {
-				fft.ReleaseComplex(spZb)
+				fft.Release(spZb)
 				return err
 			}
 			// accS = −2·conj(Z_a)·Z_b, accumulated in spZa.
 			fft.MulConjScale(spZa, spZb, -2)
-			fft.ReleaseComplex(spZb)
+			fft.Release(spZb)
 			accS := spZa
 			for i, v := range r { // w_b = z²·m_b
 				r[i] = v * v
@@ -209,13 +213,13 @@ func fftScanReader(ctx context.Context, tr *field.TileReader, o Options, so fiel
 			if err := stage(); err != nil {
 				return err
 			}
-			spWb := fft.AcquireComplexTight(half)
+			spWb := fft.AcquireTight[complex128](half)
 			if err := fft.ForwardRealND(r, pad, spWb, o.Workers); err != nil {
-				fft.ReleaseComplex(spWb)
+				fft.Release(spWb)
 				return err
 			}
 			fft.AddMulConjScale(accS, spMa, spWb, 1) // + conj(M_a)·W_b
-			fft.ReleaseComplex(spWb)
+			fft.Release(spWb)
 			for i := range r {
 				r[i] = 0
 			}
@@ -229,14 +233,14 @@ func fftScanReader(ctx context.Context, tr *field.TileReader, o Options, so fiel
 			if err := stage(); err != nil {
 				return err
 			}
-			spMb := fft.AcquireComplexTight(half)
+			spMb := fft.AcquireTight[complex128](half)
 			if err := fft.ForwardRealND(r, pad, spMb, o.Workers); err != nil {
-				fft.ReleaseComplex(spMb)
+				fft.Release(spMb)
 				return err
 			}
 			fft.AddMulConjScale(accS, spWa, spMb, 1) // + conj(W_a)·M_b
 			fft.MulConj(spMa, spMb)                  // accN = conj(M_a)·M_b
-			fft.ReleaseComplex(spMb)
+			fft.Release(spMb)
 			if err := stage(); err != nil {
 				return err
 			}
@@ -244,8 +248,8 @@ func fftScanReader(ctx context.Context, tr *field.TileReader, o Options, so fiel
 			if err := fft.InverseRealND(accS, pad, r, o.Workers); err != nil {
 				return err
 			}
-			cn := fft.AcquireRealTight(total)
-			defer fft.ReleaseReal(cn)
+			cn := fft.AcquireTight[float64](total)
+			defer fft.Release(cn)
 			if err := fft.InverseRealND(spMa, pad, cn, o.Workers); err != nil {
 				return err
 			}

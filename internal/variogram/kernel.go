@@ -43,27 +43,31 @@ func (RangeKernel) Caps() stat.Caps {
 func (RangeKernel) ErrLabel() string { return "global variogram" }
 
 // EvalGlobal implements stat.GlobalKernel, dispatching on the source:
-// in-RAM fields run ComputeField(32)Ctx's estimator selection; Reader
-// sources run the out-of-core dispatch (sampled scan bit-identical,
-// spectral shards tolerance-equivalent, exact scan materialized on the
-// transform-pool gauge).
+// in-RAM fields of either lane run computeData's estimator selection;
+// Reader sources run the out-of-core dispatch (sampled scan
+// bit-identical, spectral shards tolerance-equivalent, exact scan
+// materialized on the transform-pool gauge).
 func (RangeKernel) EvalGlobal(ctx context.Context, src stat.Source, req stat.Request, opt any) ([]float64, error) {
 	o, _ := opt.(Options)
 	if o.Workers == 0 {
 		o.Workers = req.Workers
 	}
-	var m Model
+	var e *Empirical
 	var err error
 	switch {
 	case src.Reader != nil:
-		m, err = GlobalRangeReaderCtx(ctx, src.Reader, o, src.Stream)
+		e, err = ComputeReaderCtx(ctx, src.Reader, o, src.Stream)
 	case src.F32 != nil:
-		m, err = GlobalRangeField32Ctx(ctx, src.F32, o)
+		e, err = computeData(ctx, src.F32.Data, src.F32.Shape, o)
 	case src.F64 != nil:
-		m, err = GlobalRangeFieldCtx(ctx, src.F64, o)
+		e, err = computeData(ctx, src.F64.Data, src.F64.Shape, o)
 	default:
 		err = fmt.Errorf("variogram: empty source")
 	}
+	if err != nil {
+		return nil, err
+	}
+	m, err := Fit(e)
 	if err != nil {
 		return nil, err
 	}

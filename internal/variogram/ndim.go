@@ -19,6 +19,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"lossycorr/internal/field"
@@ -27,15 +28,16 @@ import (
 	"lossycorr/internal/xrand"
 )
 
-// withFieldDefaults is the rank-generic form of the Options defaults:
-// the lag cutoff falls back to half the smallest extent.
-func (o *Options) withFieldDefaults(f *field.Field) Options {
+// withShapeDefaults fills the Options defaults for a field of the
+// given shape: the lag cutoff falls back to half the smallest extent.
+func (o *Options) withShapeDefaults(shape []int) Options {
 	out := *o
 	if out.MaxLag <= 0 {
-		out.MaxLag = f.MinDim() / 2
-		if out.MaxLag < 1 {
-			out.MaxLag = 1
+		minDim := 0
+		if len(shape) > 0 {
+			minDim = slices.Min(shape)
 		}
+		out.MaxLag = max(minDim/2, 1)
 	}
 	if out.MaxPairs <= 0 {
 		out.MaxPairs = 400_000
@@ -64,10 +66,10 @@ func sampleSalt(ndim int) uint64 {
 }
 
 // ComputeField estimates the empirical semi-variogram of a field of
-// any rank: the exhaustive offset scan for small fields (or when
-// opts.Exact is set), pair sampling otherwise. The exact scan fans
-// distance bins out over opts.Workers; results are bit-identical at
-// any worker count.
+// any rank: the FFT exact engine when opts.FFT is set, else the
+// exhaustive offset scan for small fields (or when opts.Exact is set)
+// and pair sampling otherwise. The exact scan fans distance bins out
+// over opts.Workers; results are bit-identical at any worker count.
 func ComputeField(f *field.Field, opts Options) (*Empirical, error) {
 	return ComputeFieldCtx(context.Background(), f, opts)
 }
@@ -78,17 +80,24 @@ func ComputeField(f *field.Field, opts Options) (*Empirical, error) {
 // thousand draws for the sampler) and returns ctx.Err() promptly once
 // the context dies, handing any borrowed worker-pool tokens back.
 func ComputeFieldCtx(ctx context.Context, f *field.Field, opts Options) (*Empirical, error) {
-	if f.NDim() < 1 || f.Len() < 2 {
-		return nil, fmt.Errorf("variogram: field too small (shape %v)", f.Shape)
+	return computeData(ctx, f.Data, f.Shape, opts)
+}
+
+// computeData is the one in-RAM estimator dispatch of both lanes: the
+// float64 field and the float32 field run the same selection rules
+// over the same element-generic engines.
+func computeData[T field.Elem](ctx context.Context, data []T, shape []int, opts Options) (*Empirical, error) {
+	if len(shape) < 1 || len(data) < 2 {
+		return nil, fmt.Errorf("variogram: field too small (shape %v)", shape)
 	}
-	o := opts.withFieldDefaults(f)
-	if o.FFT {
-		return fftScanField(ctx, f, o)
+	o := opts.withShapeDefaults(shape)
+	switch {
+	case o.FFT:
+		return fftScanData(ctx, data, shape, o)
+	case o.Exact || len(data) <= exactThresholdFor(len(shape)):
+		return exactScanData(ctx, data, shape, o)
 	}
-	if o.Exact || f.Len() <= exactThresholdFor(f.NDim()) {
-		return exactScanField(ctx, f, o)
-	}
-	return sampledScanField(ctx, f, o)
+	return sampledScanData(ctx, data, shape, o)
 }
 
 // offsetsByBin enumerates every lag vector with 0 < |v| <= maxLag and
@@ -169,7 +178,7 @@ func offsetsByBinCached(ndim, maxLag int) [][]int32 {
 }
 
 // scanScratch is the odometer state of scanOffset, allocated once per
-// distance bin by exactScanField and reused across that bin's offsets,
+// distance bin by exactScanData and reused across that bin's offsets,
 // so the exact scan's inner loop allocates nothing per offset (pinned
 // by TestScanOffsetAllocs).
 type scanScratch struct {
@@ -235,18 +244,12 @@ func scanOffset[T field.Elem](data []T, dims, strides []int, off []int32, sc *sc
 	*sum, *cnt = s, c
 }
 
-// exactScanField accumulates every pair with offset magnitude <=
+// exactScanData accumulates every pair with offset magnitude <=
 // MaxLag. Distance bins are independent, so they are the parallel
 // axis: each worker owns whole bins and folds that bin's offsets (in
 // canonical order) into one accumulation chain, making the result
 // independent of the worker count — and bitwise equal to the legacy
 // serial 2D/3D scans.
-func exactScanField(ctx context.Context, f *field.Field, o Options) (*Empirical, error) {
-	return exactScanData(ctx, f.Data, f.Shape, o)
-}
-
-// exactScanData is the element-generic core of the exact scan, shared
-// by both compute lanes.
 func exactScanData[T field.Elem](ctx context.Context, data []T, shape []int, o Options) (*Empirical, error) {
 	nb := o.MaxLag
 	nd := len(shape)
@@ -292,18 +295,12 @@ func exactScanData[T field.Elem](ctx context.Context, data []T, shape []int, o O
 	return collect(sum, cnt), nil
 }
 
-// sampledScanField draws random pairs: a random anchor point and a
+// sampledScanData draws random pairs: a random anchor point and a
 // random offset within the cutoff ball. Component draw order (anchor
 // components, then offset components, slowest dimension first) matches
-// the legacy 2D and 3D samplers, so seeded results are unchanged.
-func sampledScanField(ctx context.Context, f *field.Field, o Options) (*Empirical, error) {
-	return sampledScanData(ctx, f.Data, f.Shape, o)
-}
-
-// sampledScanData is the element-generic core of the pair sampler,
-// shared by both compute lanes; draw order and seeding are lane-
-// independent, so the float32 lane samples exactly the pairs the
-// oracle lane would.
+// the legacy 2D and 3D samplers, so seeded results are unchanged; draw
+// order is lane-independent, so the float32 lane samples exactly the
+// pairs the float64 lane would.
 func sampledScanData[T field.Elem](ctx context.Context, data []T, shape []int, o Options) (*Empirical, error) {
 	return sampledScanAt(ctx, func(i int) float64 { return float64(data[i]) }, shape, o)
 }
@@ -383,13 +380,7 @@ func sampledScanAt(ctx context.Context, at func(int) float64, shape []int, o Opt
 // GlobalRangeField estimates the variogram range of an entire field of
 // any rank.
 func GlobalRangeField(f *field.Field, opts Options) (Model, error) {
-	return GlobalRangeFieldCtx(context.Background(), f, opts)
-}
-
-// GlobalRangeFieldCtx is GlobalRangeField with cooperative
-// cancellation of the underlying scan.
-func GlobalRangeFieldCtx(ctx context.Context, f *field.Field, opts Options) (Model, error) {
-	e, err := ComputeFieldCtx(ctx, f, opts)
+	e, err := ComputeField(f, opts)
 	if err != nil {
 		return Model{}, err
 	}

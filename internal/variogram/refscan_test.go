@@ -180,12 +180,12 @@ func TestExactScanMatchesLegacy2DBitwise(t *testing.T) {
 		{40, 40, 0}, {33, 57, 11}, {64, 16, 8}, {5, 5, 2},
 	} {
 		g := randomGrid(tc.rows, tc.cols, uint64(tc.rows*1000+tc.cols))
-		o := (&Options{MaxLag: tc.maxLag, Exact: true}).withDefaults(g)
+		o := (&Options{MaxLag: tc.maxLag, Exact: true}).withShapeDefaults([]int{g.Rows, g.Cols})
 		want := legacyExactScan2D(g, o)
 		for _, w := range []int{1, 2, 7} {
 			ow := o
 			ow.Workers = w
-			got, err := exactScanField(context.Background(), field.FromGrid(g), ow)
+			got, err := exactScanData(context.Background(), g.Data, []int{g.Rows, g.Cols}, ow)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -202,7 +202,8 @@ func TestExactScanMatchesLegacy3DBitwise(t *testing.T) {
 		v := randomVolume(tc.nz, tc.ny, tc.nx, uint64(tc.nz*100+tc.nx))
 		want := legacyExactScan3D(v, tc.maxLag)
 		for _, w := range []int{1, 3, 16} {
-			got, err := exactScanField(context.Background(), field.FromVolume(v),
+			fv := field.FromVolume(v)
+			got, err := exactScanData(context.Background(), fv.Data, fv.Shape,
 				Options{MaxLag: tc.maxLag, MaxPairs: 1, Workers: w})
 			if err != nil {
 				t.Fatal(err)
@@ -214,9 +215,9 @@ func TestExactScanMatchesLegacy3DBitwise(t *testing.T) {
 
 func TestSampledScanMatchesLegacy2DBitwise(t *testing.T) {
 	g := randomGrid(80, 70, 99)
-	o := (&Options{MaxPairs: 50_000, Seed: 1234}).withDefaults(g)
+	o := (&Options{MaxPairs: 50_000, Seed: 1234}).withShapeDefaults([]int{g.Rows, g.Cols})
 	want := legacySampledScan2D(g, o)
-	got, err := sampledScanField(context.Background(), field.FromGrid(g), o)
+	got, err := sampledScanData(context.Background(), g.Data, []int{g.Rows, g.Cols}, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,10 +263,10 @@ func TestLocalRangeStd3DSerialParallelIdentical(t *testing.T) {
 
 func BenchmarkExactScanSerial(b *testing.B) {
 	g := randomGrid(128, 128, 3)
-	o := (&Options{Exact: true, Workers: 1}).withDefaults(g)
+	o := (&Options{Exact: true, Workers: 1}).withShapeDefaults([]int{g.Rows, g.Cols})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := exactScanField(context.Background(), field.FromGrid(g), o); err != nil {
+		if _, err := exactScanData(context.Background(), g.Data, []int{g.Rows, g.Cols}, o); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -273,10 +274,10 @@ func BenchmarkExactScanSerial(b *testing.B) {
 
 func BenchmarkExactScanParallel(b *testing.B) {
 	g := randomGrid(128, 128, 3)
-	o := (&Options{Exact: true, Workers: 0}).withDefaults(g)
+	o := (&Options{Exact: true, Workers: 0}).withShapeDefaults([]int{g.Rows, g.Cols})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := exactScanField(context.Background(), field.FromGrid(g), o); err != nil {
+		if _, err := exactScanData(context.Background(), g.Data, []int{g.Rows, g.Cols}, o); err != nil {
 			b.Fatal(err)
 		}
 	}

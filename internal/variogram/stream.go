@@ -22,22 +22,6 @@ import (
 	"lossycorr/internal/stat"
 )
 
-// withReaderDefaults mirrors withFieldDefaults for an out-of-core
-// field: the lag cutoff falls back to half the smallest extent.
-func (o *Options) withReaderDefaults(tr *field.TileReader) Options {
-	out := *o
-	if out.MaxLag <= 0 {
-		out.MaxLag = tr.MinDim() / 2
-		if out.MaxLag < 1 {
-			out.MaxLag = 1
-		}
-	}
-	if out.MaxPairs <= 0 {
-		out.MaxPairs = 400_000
-	}
-	return out
-}
-
 // ComputeReaderCtx estimates the empirical semi-variogram of an
 // out-of-core field, dispatching exactly as ComputeFieldCtx does:
 // opts.FFT selects the sharded spectral engine, small fields (or
@@ -50,7 +34,7 @@ func ComputeReaderCtx(ctx context.Context, tr *field.TileReader, opts Options, s
 	if tr.NDim() < 1 || tr.Len() < 2 {
 		return nil, fmt.Errorf("variogram: field too small (shape %v)", tr.Shape())
 	}
-	o := opts.withReaderDefaults(tr)
+	o := opts.withShapeDefaults(tr.Shape())
 	if o.FFT {
 		return fftScanReader(ctx, tr, o, so)
 	}
@@ -60,24 +44,14 @@ func ComputeReaderCtx(ctx context.Context, tr *field.TileReader, opts Options, s
 	return sampledScanReader(ctx, tr, o)
 }
 
-// GlobalRangeReaderCtx fits a model to the out-of-core empirical
-// variogram and returns it, mirroring GlobalRangeFieldCtx.
-func GlobalRangeReaderCtx(ctx context.Context, tr *field.TileReader, opts Options, so field.StreamOptions) (Model, error) {
-	e, err := ComputeReaderCtx(ctx, tr, opts, so)
-	if err != nil {
-		return Model{}, err
-	}
-	return Fit(e)
-}
-
 // exactScanReader runs the exhaustive scan over a materialized copy of
 // the reader: exact pairs span every lag, so there is no streaming
 // decomposition that preserves the accumulation chains. The copy lives
 // in a pooled transform buffer, so the peak-bytes gauge reports it.
 func exactScanReader(ctx context.Context, tr *field.TileReader, o Options) (*Empirical, error) {
 	shape := tr.Shape()
-	buf := fft.AcquireRealTight(tr.Len())
-	defer fft.ReleaseReal(buf)
+	buf := fft.AcquireTight[float64](tr.Len())
+	defer fft.Release(buf)
 	blk := &field.Field{Data: buf}
 	lo := make([]int, len(shape))
 	if err := tr.ReadBlock(blk, lo, shape); err != nil {

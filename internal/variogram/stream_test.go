@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"lossycorr/internal/field"
+	"lossycorr/internal/stat"
 )
 
 // writeTempField serializes a field (either lane's WriteBinary) and
@@ -56,7 +57,7 @@ func TestLocalRangesReaderBitIdentity(t *testing.T) {
 			t.Fatal(err)
 		}
 		f32, _ := randomField32(tc.shape, uint64(700+ci))
-		want32, err := LocalRangesField32Ctx(ctx, f32, tc.h, Options{})
+		want32, err := stat.Windows(ctx, stat.Source{F32: f32}, LocalRangeKernel{}, tc.h, 0, nil, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,7 +126,7 @@ func TestSampledScanReaderBitIdentity(t *testing.T) {
 	assertEmpiricalEqual(t, got, want)
 
 	f32, _ := randomField32(shape, 902)
-	want32, err := ComputeField32Ctx(ctx, f32, opts)
+	want32, err := computeData(ctx, f32.Data, f32.Shape, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

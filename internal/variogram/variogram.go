@@ -59,10 +59,6 @@ type Options struct {
 	Workers int
 }
 
-func (o *Options) withDefaults(g *grid.Grid) Options {
-	return o.withFieldDefaults(field.FromGrid(g))
-}
-
 // Compute estimates the empirical semi-variogram of g. It is the
 // rank-2 view of ComputeField; see ndim.go for the generic engine.
 func Compute(g *grid.Grid, opts Options) (*Empirical, error) {

@@ -210,7 +210,7 @@ func TestLocalRangeStdConstantField(t *testing.T) {
 
 func TestOptionsDefaults(t *testing.T) {
 	g := grid.New(10, 20)
-	o := (&Options{}).withDefaults(g)
+	o := (&Options{}).withShapeDefaults([]int{g.Rows, g.Cols})
 	if o.MaxLag != 5 {
 		t.Fatalf("default MaxLag %d want 5", o.MaxLag)
 	}
