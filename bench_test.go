@@ -31,7 +31,6 @@ import (
 	"lossycorr/internal/lossless"
 	"lossycorr/internal/parallel"
 	"lossycorr/internal/svdstat"
-	"lossycorr/internal/szlike"
 	"lossycorr/internal/variogram"
 	"lossycorr/internal/xrand"
 )
@@ -185,8 +184,8 @@ func benchField(b *testing.B, rang float64) *grid.Grid {
 }
 
 func benchCompress(b *testing.B, name string, eb float64) {
-	f := benchField(b, 16)
-	c, err := Compressors().Get(name)
+	f := field.FromGrid(benchField(b, 16))
+	c, err := Compressors().GetFor(name, 2)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -194,7 +193,7 @@ func benchCompress(b *testing.B, name string, eb float64) {
 	b.ResetTimer()
 	var size int
 	for i := 0; i < b.N; i++ {
-		data, err := c.Compress(f, eb)
+		data, err := c.CompressField(f, eb)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -204,19 +203,19 @@ func benchCompress(b *testing.B, name string, eb float64) {
 }
 
 func benchDecompress(b *testing.B, name string, eb float64) {
-	f := benchField(b, 16)
-	c, err := Compressors().Get(name)
+	f := field.FromGrid(benchField(b, 16))
+	c, err := Compressors().GetFor(name, 2)
 	if err != nil {
 		b.Fatal(err)
 	}
-	data, err := c.Compress(f, eb)
+	data, err := c.CompressField(f, eb)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.SetBytes(int64(f.SizeBytes()))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.Decompress(data); err != nil {
+		if _, err := c.DecompressField(data); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -359,32 +358,6 @@ func BenchmarkUnified3DPipeline(b *testing.B) {
 }
 
 // ---- ablations --------------------------------------------------------------
-
-// BenchmarkAblationSZPredictors quantifies what each of the SZ-like
-// codec's two predictors contributes: auto selection vs Lorenzo-only vs
-// regression-only on the same field (DESIGN.md §3).
-func BenchmarkAblationSZPredictors(b *testing.B) {
-	f := benchField(b, 16)
-	for _, c := range []szlike.Compressor{
-		{Mode: szlike.PredictorAuto},
-		{Mode: szlike.PredictorLorenzoOnly},
-		{Mode: szlike.PredictorRegressionOnly},
-	} {
-		c := c
-		b.Run(c.Name(), func(b *testing.B) {
-			b.SetBytes(int64(f.SizeBytes()))
-			var size int
-			for i := 0; i < b.N; i++ {
-				data, err := c.Compress(f, 1e-3)
-				if err != nil {
-					b.Fatal(err)
-				}
-				size = len(data)
-			}
-			b.ReportMetric(float64(f.SizeBytes())/float64(size), "ratio")
-		})
-	}
-}
 
 // BenchmarkAblationByteShuffle measures how much the byte-shuffle
 // filter improves DEFLATE on raw float64 field data — the rationale for

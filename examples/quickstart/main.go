@@ -31,13 +31,13 @@ func main() {
 
 	// 3. Compression ratios per compressor and error bound.
 	fmt.Printf("%-11s", "eb")
-	for _, name := range lossycorr.Compressors().Names() {
+	for _, name := range lossycorr.CompressorsFor(2) {
 		fmt.Printf(" %12s", name)
 	}
 	fmt.Println()
 	for _, eb := range lossycorr.PaperErrorBounds {
 		fmt.Printf("%-11.0e", eb)
-		for _, name := range lossycorr.Compressors().Names() {
+		for _, name := range lossycorr.CompressorsFor(2) {
 			res, err := lossycorr.Measure(name, field, eb)
 			if err != nil {
 				log.Fatal(err)

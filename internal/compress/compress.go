@@ -9,21 +9,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
-
-	"lossycorr/internal/field"
-	"lossycorr/internal/grid"
 )
-
-// Compressor is an error-bounded lossy compressor for 2D float64
-// fields. Compress must guarantee max|x−x̂| <= absErr for every element.
-type Compressor interface {
-	// Name identifies the compressor in experiment output.
-	Name() string
-	// Compress encodes g under the absolute error bound absErr.
-	Compress(g *grid.Grid, absErr float64) ([]byte, error)
-	// Decompress reconstructs the field from Compress's output.
-	Decompress(data []byte) (*grid.Grid, error)
-}
 
 // Result reports one compression measurement. The JSON field names
 // are the service layer's wire contract; PSNR can be +Inf for perfect
@@ -58,63 +44,20 @@ func (r Result) MarshalJSON() ([]byte, error) {
 	return json.Marshal(w)
 }
 
-// Run compresses, decompresses, and measures g with c at absErr — the
-// rank-2 view of RunField.
-func Run(c Compressor, g *grid.Grid, absErr float64) (Result, error) {
-	return RunField(WrapGrid(c), field.FromGrid(g), absErr)
-}
-
-// RunRelative measures g under a value-range-relative error bound: the
-// absolute bound is relErr times the field's value range. The paper
-// notes the formal equivalence between the absolute mode and this mode
-// (used natively by SZ); constant fields fall back to relErr itself.
-func RunRelative(c Compressor, g *grid.Grid, relErr float64) (Result, error) {
-	return RunRelativeField(WrapGrid(c), field.FromGrid(g), relErr)
-}
-
-// PSNR computes the peak signal-to-noise ratio in dB using the field's
-// value range as peak, the convention of the lossy-compression
-// community (+Inf for a perfect reconstruction).
-func PSNR(g *grid.Grid, mse float64) float64 {
-	if mse == 0 {
-		return math.Inf(1)
-	}
-	vr := g.Summary().ValueRange
-	if vr == 0 {
-		return 0
-	}
-	return 20*math.Log10(vr) - 10*math.Log10(mse)
-}
-
-// Registry holds named compressors for CLI and experiment lookup. It
-// is dimension-aware: every entry is a FieldCompressor with a declared
-// set of supported ranks, and lookups can be filtered by the rank of
-// the field being measured. Plain 2D codecs register through Register
-// (auto-wrapped) and stay visible through the historical 2D accessors.
+// Registry holds named compressors for CLI and experiment lookup.
+// Every entry declares the field ranks it accepts, and lookups filter
+// by the rank of the field being measured.
 type Registry struct {
-	byName map[string]Compressor      // 2D codecs, as registered
-	fields map[string]FieldCompressor // every codec, rank-generic view
+	fields map[string]FieldCompressor
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{
-		byName: make(map[string]Compressor),
-		fields: make(map[string]FieldCompressor),
-	}
+	return &Registry{fields: make(map[string]FieldCompressor)}
 }
 
-// Register adds a 2D codec; registering a duplicate name is an error.
-func (r *Registry) Register(c Compressor) error {
-	if err := r.RegisterField(WrapGrid(c)); err != nil {
-		return err
-	}
-	r.byName[c.Name()] = c
-	return nil
-}
-
-// RegisterField adds a rank-generic codec; registering a duplicate
-// name is an error.
+// RegisterField adds a codec; registering a duplicate name is an
+// error.
 func (r *Registry) RegisterField(c FieldCompressor) error {
 	if _, dup := r.fields[c.Name()]; dup {
 		return fmt.Errorf("compress: duplicate compressor %q", c.Name())
@@ -123,52 +66,18 @@ func (r *Registry) RegisterField(c FieldCompressor) error {
 	return nil
 }
 
-// RegisterVolume adds a native 3D codec (wrapped to rank {3});
-// registering a duplicate name is an error.
-func (r *Registry) RegisterVolume(c VolumeCompressor) error {
-	return r.RegisterField(WrapVolume(c))
-}
-
-// Get looks a 2D compressor up by name.
-func (r *Registry) Get(name string) (Compressor, error) {
-	c, ok := r.byName[name]
-	if !ok {
-		return nil, fmt.Errorf("compress: unknown compressor %q (have %v)", name, r.Names())
-	}
-	return c, nil
-}
-
-// GetField looks any registered codec up by name.
-func (r *Registry) GetField(name string) (FieldCompressor, error) {
-	c, ok := r.fields[name]
-	if !ok {
-		return nil, fmt.Errorf("compress: unknown compressor %q (have %v)", name, r.NamesFor(0))
-	}
-	return c, nil
-}
-
 // GetFor looks a codec up by name and checks it accepts fields of the
 // given rank.
 func (r *Registry) GetFor(name string, ndim int) (FieldCompressor, error) {
-	c, err := r.GetField(name)
-	if err != nil {
-		return nil, err
+	c, ok := r.fields[name]
+	if !ok {
+		return nil, fmt.Errorf("compress: unknown compressor %q (have %v)", name, r.NamesFor(0))
 	}
 	if !SupportsRank(c, ndim) {
 		return nil, fmt.Errorf("compress: %q does not accept rank-%d fields (%d-D codecs: %v)",
 			name, ndim, ndim, r.NamesFor(ndim))
 	}
 	return c, nil
-}
-
-// Names lists registered 2D compressors in sorted order.
-func (r *Registry) Names() []string {
-	out := make([]string, 0, len(r.byName))
-	for n := range r.byName {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // NamesFor lists the codecs accepting the given rank in sorted order;
@@ -181,15 +90,6 @@ func (r *Registry) NamesFor(ndim int) []string {
 		}
 	}
 	sort.Strings(out)
-	return out
-}
-
-// All returns the 2D compressors in name order.
-func (r *Registry) All() []Compressor {
-	out := make([]Compressor, 0, len(r.byName))
-	for _, n := range r.Names() {
-		out = append(out, r.byName[n])
-	}
 	return out
 }
 

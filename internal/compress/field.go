@@ -1,16 +1,13 @@
 package compress
 
 // Dimension-aware compression. FieldCompressor is the rank-generic
-// codec interface the measurement pipeline runs on; existing 2D codecs
-// and 3D volume codecs plug in through O(1) adapters, and the Registry
+// codec interface the measurement pipeline runs on, and the Registry
 // serves lookups filtered by the rank of the field being measured.
 
 import (
 	"fmt"
-	"math"
 
 	"lossycorr/internal/field"
-	"lossycorr/internal/grid"
 )
 
 // FieldCompressor is an error-bounded lossy compressor for dense
@@ -27,15 +24,6 @@ type FieldCompressor interface {
 	DecompressField(data []byte) (*field.Field, error)
 }
 
-// VolumeCompressor is the shape of a native 3D codec
-// (szlike.Compressor3D and friends); WrapVolume adapts it to
-// FieldCompressor.
-type VolumeCompressor interface {
-	Name() string
-	Compress(v *grid.Volume, absErr float64) ([]byte, error)
-	Decompress(data []byte) (*grid.Volume, error)
-}
-
 // SupportsRank reports whether c accepts fields of the given rank.
 func SupportsRank(c FieldCompressor, ndim int) bool {
 	for _, r := range c.Ranks() {
@@ -46,90 +34,7 @@ func SupportsRank(c FieldCompressor, ndim int) bool {
 	return false
 }
 
-type gridAdapter struct{ c Compressor }
-
-func (a gridAdapter) Name() string { return a.c.Name() }
-func (a gridAdapter) Ranks() []int { return []int{2} }
-
-func (a gridAdapter) CompressField(f *field.Field, absErr float64) ([]byte, error) {
-	g, err := f.AsGrid()
-	if err != nil {
-		return nil, err
-	}
-	return a.c.Compress(g, absErr)
-}
-
-func (a gridAdapter) DecompressField(data []byte) (*field.Field, error) {
-	g, err := a.c.Decompress(data)
-	if err != nil {
-		return nil, err
-	}
-	return field.FromGrid(g), nil
-}
-
-// Lane32Grid is the optional float32 lane of a 2D codec: Compress32
-// must honor the bound on the float32 samples directly, without a
-// float64 staging copy of the field.
-type Lane32Grid interface {
-	Compress32(f *field.Field32, absErr float64) ([]byte, error)
-	Decompress32(data []byte) (*field.Field32, error)
-}
-
-// lane32GridAdapter forwards the float32 lane of codecs that have one,
-// so WrapGrid's result satisfies Lane32Compressor exactly when the
-// wrapped codec implements Lane32Grid.
-type lane32GridAdapter struct {
-	gridAdapter
-	l Lane32Grid
-}
-
-func (a lane32GridAdapter) CompressField32(f *field.Field32, absErr float64) ([]byte, error) {
-	if len(f.Shape) != 2 {
-		return nil, fmt.Errorf("compress: %s float32 lane needs rank 2, got %d", a.Name(), len(f.Shape))
-	}
-	return a.l.Compress32(f, absErr)
-}
-
-func (a lane32GridAdapter) DecompressField32(data []byte) (*field.Field32, error) {
-	return a.l.Decompress32(data)
-}
-
-// WrapGrid adapts a 2D codec to the rank-generic interface (rank {2}),
-// preserving a native float32 lane when the codec offers one.
-func WrapGrid(c Compressor) FieldCompressor {
-	g := gridAdapter{c}
-	if l, ok := c.(Lane32Grid); ok {
-		return lane32GridAdapter{g, l}
-	}
-	return g
-}
-
-type volumeAdapter struct{ c VolumeCompressor }
-
-func (a volumeAdapter) Name() string { return a.c.Name() }
-func (a volumeAdapter) Ranks() []int { return []int{3} }
-
-func (a volumeAdapter) CompressField(f *field.Field, absErr float64) ([]byte, error) {
-	v, err := f.AsVolume()
-	if err != nil {
-		return nil, err
-	}
-	return a.c.Compress(v, absErr)
-}
-
-func (a volumeAdapter) DecompressField(data []byte) (*field.Field, error) {
-	v, err := a.c.Decompress(data)
-	if err != nil {
-		return nil, err
-	}
-	return field.FromVolume(v), nil
-}
-
-// WrapVolume adapts a 3D codec to the rank-generic interface (rank {3}).
-func WrapVolume(c VolumeCompressor) FieldCompressor { return volumeAdapter{c} }
-
-// RunField compresses, decompresses, and measures f with c at absErr —
-// the rank-generic measurement harness behind Run.
+// RunField compresses, decompresses, and measures f with c at absErr.
 func RunField(c FieldCompressor, f *field.Field, absErr float64) (Result, error) {
 	if absErr <= 0 {
 		return Result{}, fmt.Errorf("compress: non-positive error bound %v", absErr)
@@ -167,7 +72,10 @@ func RunField(c FieldCompressor, f *field.Field, absErr float64) (Result, error)
 }
 
 // RunRelativeField measures f under a value-range-relative error
-// bound, the rank-generic form of RunRelative.
+// bound: the absolute bound is relErr times the field's value range.
+// The paper notes the formal equivalence between the absolute mode and
+// this mode (used natively by SZ); constant fields fall back to relErr
+// itself.
 func RunRelativeField(c FieldCompressor, f *field.Field, relErr float64) (Result, error) {
 	if relErr <= 0 {
 		return Result{}, fmt.Errorf("compress: non-positive relative bound %v", relErr)
@@ -183,12 +91,5 @@ func RunRelativeField(c FieldCompressor, f *field.Field, relErr float64) (Result
 // PSNRField computes the peak signal-to-noise ratio in dB using the
 // field's value range as peak (+Inf for a perfect reconstruction).
 func PSNRField(f *field.Field, mse float64) float64 {
-	if mse == 0 {
-		return math.Inf(1)
-	}
-	vr := f.Summary().ValueRange
-	if vr == 0 {
-		return 0
-	}
-	return 20*math.Log10(vr) - 10*math.Log10(mse)
+	return psnrRange(f.Summary().ValueRange, mse)
 }

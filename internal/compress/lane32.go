@@ -75,12 +75,19 @@ func RunField32(c FieldCompressor, f *field.Field32, absErr float64) (Result, er
 	}
 	// Bound slack: native lanes enforce the bound on float32 values
 	// directly; the fallback's reconstruction picks up at most half a
-	// float32 ulp of the reconstructed magnitude when narrowed.
+	// float32 ulp of the reconstructed magnitude when narrowed. The
+	// peak is over finite samples, so an Inf in the field cannot widen
+	// the slack to +Inf.
 	s := f.Summary()
 	slack := absErr * 1e-12
 	if _, native := c.(Lane32Compressor); !native {
-		peak := math.Max(math.Abs(s.Min), math.Abs(s.Max)) + absErr
-		slack += peak * 1.2e-7
+		peak := 0.0
+		for _, v := range f.Data {
+			if a := math.Abs(float64(v)); a > peak && !math.IsInf(a, 0) {
+				peak = a
+			}
+		}
+		slack += (peak + absErr) * 1.2e-7
 	}
 	res := Result{
 		Compressor:     c.Name(),

@@ -288,11 +288,12 @@ func analyzeSource(ctx context.Context, src stat.Source, opts AnalysisOptions) (
 func DefaultRegistry() *compress.Registry {
 	r := compress.NewRegistry()
 	// Registration of the built-in codecs cannot collide.
-	_ = r.Register(szlike.Compressor{})
-	_ = r.Register(zfplike.Compressor{})
-	_ = r.Register(mgardlike.Compressor{})
-	_ = r.RegisterVolume(szlike.Compressor3D{})
-	_ = r.RegisterVolume(zfplike.Compressor3D{})
+	for _, c := range []compress.FieldCompressor{
+		szlike.New(2), zfplike.New(2), mgardlike.Compressor{},
+		szlike.New(3), zfplike.New(3),
+	} {
+		_ = r.RegisterField(c)
+	}
 	return r
 }
 

@@ -50,7 +50,7 @@ func TestAnalyzeSkipLocal(t *testing.T) {
 }
 
 func TestDefaultRegistryHasAllThree(t *testing.T) {
-	names := DefaultRegistry().Names()
+	names := DefaultRegistry().NamesFor(2)
 	want := []string{"mgard-like", "sz-like", "zfp-like"}
 	if len(names) != 3 {
 		t.Fatalf("names %v", names)

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"lossycorr/internal/field"
 	"lossycorr/internal/gaussian"
 	"lossycorr/internal/grid"
 	"lossycorr/internal/szlike"
@@ -99,8 +100,7 @@ func TestEntropyTracksCompressibility(t *testing.T) {
 			t.Fatal(err)
 		}
 		entropies = append(entropies, h)
-		c := szlike.Compressor{}
-		data, err := c.Compress(f, 1e-3)
+		data, err := szlike.New(2).CompressField(field.FromGrid(f), 1e-3)
 		if err != nil {
 			t.Fatal(err)
 		}

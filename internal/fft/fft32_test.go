@@ -130,12 +130,24 @@ func TestPool32Accounting(t *testing.T) {
 // float32-lane pools: a released non-power-of-two buffer is found
 // again by a same-size acquire.
 func TestPool32Retention(t *testing.T) {
-	r := Acquire[float32](1600 * 1600)
-	p := &r[0]
-	Release(r)
-	r2 := Acquire[float32](1600 * 1600)
-	defer Release(r2)
-	if &r2[0] != p {
+	// sync.Pool randomly drops Puts under the race detector, so allow a
+	// few attempts, each on drained buckets, before declaring the buffer
+	// lost.
+	const n = 1600 * 1600
+	reused := false
+	for attempt := 0; attempt < 20 && !reused; attempt++ {
+		for _, b := range []int{acquireBucket(n) - 1, acquireBucket(n)} {
+			for pools[0][b].Get() != nil {
+			}
+		}
+		r := Acquire[float32](n)
+		p := &r[0]
+		Release(r)
+		r2 := Acquire[float32](n)
+		reused = &r2[0] == p
+		Release(r2)
+	}
+	if !reused {
 		t.Fatal("released float32 buffer not reused by same-size acquire")
 	}
 }

@@ -99,15 +99,21 @@ func Summarize[T Elem](data []T) grid.Stats {
 }
 
 // maxAbsDiffData returns max|a-b| (in float64) over two equal-length
-// lanes of the same element type.
+// lanes of the same element type. An element whose bits differ and
+// that is not finite on both sides counts as +Inf: a NaN turned into a
+// number, or an Inf dropped, is an unbounded error, not a skipped one.
 func maxAbsDiffData[T Elem](a, b []T) float64 {
 	var m float64
 	for i := range a {
-		d := float64(a[i]) - float64(b[i])
-		if d < 0 {
-			d = -d
-		}
-		if d > m {
+		x, y := float64(a[i]), float64(b[i])
+		d := math.Abs(x - y)
+		if !(d <= m) {
+			if math.Float64bits(x) == math.Float64bits(y) {
+				continue
+			}
+			if math.IsNaN(d) || math.IsInf(x, 0) || math.IsInf(y, 0) {
+				return math.Inf(1)
+			}
 			m = d
 		}
 	}

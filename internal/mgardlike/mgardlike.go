@@ -18,11 +18,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 	"sync"
 
 	"lossycorr/internal/compress"
-	"lossycorr/internal/grid"
+	"lossycorr/internal/field"
 	"lossycorr/internal/huffman"
 	"lossycorr/internal/lossless"
 	"lossycorr/internal/quant"
@@ -34,13 +33,17 @@ var symbolPool = sync.Pool{New: func() any { return new([]uint16) }}
 
 var magic = [4]byte{'M', 'G', 'L', '1'}
 
-// Compressor is the MGARD-like codec. The zero value is ready to use.
+// Compressor is the MGARD-like codec for rank-2 fields. The zero value
+// is ready to use.
 type Compressor struct{}
 
-var _ compress.Compressor = Compressor{}
+var _ compress.FieldCompressor = Compressor{}
 
-// Name implements compress.Compressor.
+// Name implements compress.FieldCompressor.
 func (Compressor) Name() string { return "mgard-like" }
+
+// Ranks implements compress.FieldCompressor.
+func (Compressor) Ranks() []int { return []int{2} }
 
 // numLevels picks the number of dyadic refinement levels: the coarsest
 // lattice has stride 2^L and still at least two nodes along the longer
@@ -61,15 +64,13 @@ func numLevels(rows, cols int) int {
 func onLattice(i, s int) bool { return i%s == 0 }
 
 // interpolate predicts the value at (r, c) on the stride-s lattice from
-// the stride-2s lattice of recon. Nodes fall into three classes: on a
+// the stride-2s lattice of the rows×cols field data. Nodes fall into three classes: on a
 // coarse row (horizontal neighbors), on a coarse column (vertical
 // neighbors), or interior (four diagonal neighbors); one-sided copies
 // handle clipped boundaries.
-func interpolate(recon *grid.Grid, r, c, s int) float64 {
+func interpolate(data []float64, rows, cols, r, c, s int) float64 {
 	// Flat addressing: each neighbor is one add away from a precomputed
-	// row offset instead of a full r*Cols+c multiply per At call — this
-	// is the innermost read of every level sweep.
-	data, cols := recon.Data, recon.Cols
+	// row offset — this is the innermost read of every level sweep.
 	row := r * cols
 	s2 := 2 * s
 	coarseR := onLattice(r, s2)
@@ -81,7 +82,7 @@ func interpolate(recon *grid.Grid, r, c, s int) float64 {
 		}
 		return data[row+c-s]
 	case !coarseR && coarseC:
-		if r+s < recon.Rows {
+		if r+s < rows {
 			return 0.5 * (data[row-s*cols+c] + data[row+s*cols+c])
 		}
 		return data[row-s*cols+c]
@@ -94,7 +95,7 @@ func interpolate(recon *grid.Grid, r, c, s int) float64 {
 			sum += data[upRow+rgt]
 			n++
 		}
-		if r+s < recon.Rows {
+		if r+s < rows {
 			sum += data[dnRow+l]
 			n++
 			if rgt < cols {
@@ -121,15 +122,19 @@ func forEachLevelNode(rows, cols, s int, fn func(r, c int)) {
 	}
 }
 
-// Compress implements compress.Compressor.
-func (Compressor) Compress(g *grid.Grid, absErr float64) ([]byte, error) {
+// CompressField implements compress.FieldCompressor.
+func (Compressor) CompressField(f *field.Field, absErr float64) ([]byte, error) {
 	if absErr <= 0 {
 		return nil, fmt.Errorf("mgardlike: non-positive error bound %v", absErr)
 	}
-	if g.Len() == 0 {
+	if len(f.Shape) != 2 {
+		return nil, fmt.Errorf("mgardlike: rank-2 codec got a rank-%d field", len(f.Shape))
+	}
+	if f.Len() == 0 {
 		return nil, errors.New("mgardlike: empty field")
 	}
-	L := numLevels(g.Rows, g.Cols)
+	rows, cols, data := f.Shape[0], f.Shape[1], f.Data
+	L := numLevels(rows, cols)
 	// The decomposition is open-loop, like MGARD's: multilevel
 	// coefficients are corrections of original values against
 	// interpolation of original coarser values. On reconstruction the
@@ -148,9 +153,9 @@ func (Compressor) Compress(g *grid.Grid, absErr float64) ([]byte, error) {
 	// predictor); large values escape to exact storage, and the coarse
 	// lattice is a vanishing fraction of nodes
 	sTop := 1 << uint(L)
-	for r := 0; r < g.Rows; r += sTop {
-		for c := 0; c < g.Cols; c += sTop {
-			v := g.At(r, c)
+	for r := 0; r < rows; r += sTop {
+		for c := 0; c < cols; c += sTop {
+			v := data[r*cols+c]
 			sym, _, ok := q.Encode(v)
 			if !ok {
 				symbols = append(symbols, quant.Escape)
@@ -164,9 +169,9 @@ func (Compressor) Compress(g *grid.Grid, absErr float64) ([]byte, error) {
 	// coarser lattice
 	for l := L - 1; l >= 0; l-- {
 		s := 1 << uint(l)
-		forEachLevelNode(g.Rows, g.Cols, s, func(r, c int) {
-			v := g.Data[r*g.Cols+c]
-			pred := interpolate(g, r, c, s)
+		forEachLevelNode(rows, cols, s, func(r, c int) {
+			v := data[r*cols+c]
+			pred := interpolate(data, rows, cols, r, c, s)
 			sym, _, ok := q.Encode(v - pred)
 			if !ok {
 				symbols = append(symbols, quant.Escape)
@@ -179,19 +184,10 @@ func (Compressor) Compress(g *grid.Grid, absErr float64) ([]byte, error) {
 
 	huff := huffman.Encode(symbols)
 	*sp = symbols // retain grown capacity for reuse
-	var buf []byte
-	buf = append(buf, magic[:]...)
-	var tmp [8]byte
-	binary.LittleEndian.PutUint32(tmp[0:], uint32(g.Rows))
-	binary.LittleEndian.PutUint32(tmp[4:], uint32(g.Cols))
-	buf = append(buf, tmp[:]...)
-	binary.LittleEndian.PutUint64(tmp[:], math.Float64bits(absErr))
-	buf = append(buf, tmp[:]...)
-	binary.LittleEndian.PutUint32(tmp[:4], uint32(len(exact)))
-	buf = append(buf, tmp[:4]...)
+	buf := compress.AppendHeader(nil, magic, f.Shape, absErr)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(exact)))
 	for _, v := range exact {
-		binary.LittleEndian.PutUint64(tmp[:], math.Float64bits(v))
-		buf = append(buf, tmp[:]...)
+		buf = compress.AppendElem(buf, v)
 	}
 	buf = append(buf, huff...)
 	return lossless.Compress(buf)
@@ -200,40 +196,35 @@ func (Compressor) Compress(g *grid.Grid, absErr float64) ([]byte, error) {
 // ErrCorrupt reports a malformed stream.
 var ErrCorrupt = errors.New("mgardlike: corrupt stream")
 
-// Decompress implements compress.Compressor.
-func (Compressor) Decompress(data []byte) (*grid.Grid, error) {
+// DecompressField implements compress.FieldCompressor.
+func (Compressor) DecompressField(data []byte) (*field.Field, error) {
 	raw, err := lossless.Decompress(data)
 	if err != nil {
 		return nil, fmt.Errorf("mgardlike: %w", err)
 	}
-	if len(raw) < 24 || raw[0] != magic[0] || raw[1] != magic[1] || raw[2] != magic[2] || raw[3] != magic[3] {
+	shape, absErr, raw, ok := compress.ParseHeader(raw, magic, 2)
+	if !ok || len(raw) < 4 {
 		return nil, ErrCorrupt
 	}
-	rows := int(binary.LittleEndian.Uint32(raw[4:]))
-	cols := int(binary.LittleEndian.Uint32(raw[8:]))
-	absErr := math.Float64frombits(binary.LittleEndian.Uint64(raw[12:]))
-	if rows <= 0 || cols <= 0 || absErr <= 0 || rows*cols > 1<<30 {
-		return nil, ErrCorrupt
-	}
-	pos := 20
-	nExact := int(binary.LittleEndian.Uint32(raw[pos:]))
-	pos += 4
-	if nExact < 0 || len(raw) < pos+8*nExact {
+	rows, cols := shape[0], shape[1]
+	nExact := int(binary.LittleEndian.Uint32(raw))
+	raw = raw[4:]
+	if len(raw) < 8*nExact {
 		return nil, ErrCorrupt
 	}
 	exact := make([]float64, nExact)
 	for i := range exact {
-		exact[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[pos:]))
-		pos += 8
+		exact[i] = compress.ReadElem[float64](raw[8*i:])
 	}
-	symbols, err := huffman.Decode(raw[pos:])
+	symbols, err := huffman.Decode(raw[8*nExact:])
 	if err != nil {
 		return nil, fmt.Errorf("mgardlike: %w", err)
 	}
 
 	L := numLevels(rows, cols)
 	q := quant.New(absErr / float64(L+1))
-	recon := grid.New(rows, cols)
+	out := field.New(rows, cols)
+	recon := out.Data
 	si, ei := 0, 0
 	next := func() (uint16, error) {
 		if si >= len(symbols) {
@@ -262,10 +253,10 @@ func (Compressor) Decompress(data []byte) (*grid.Grid, error) {
 				return nil, err
 			}
 			if sym == quant.Escape {
-				recon.Set(r, c, takeExact())
+				recon[r*cols+c] = takeExact()
 				continue
 			}
-			recon.Set(r, c, q.Decode(sym))
+			recon[r*cols+c] = q.Decode(sym)
 		}
 	}
 	for l := L - 1; l >= 0 && decodeErr == nil; l-- {
@@ -281,10 +272,10 @@ func (Compressor) Decompress(data []byte) (*grid.Grid, error) {
 				return
 			}
 			if sym == quant.Escape {
-				recon.Set(r, c, takeExact())
+				recon[r*cols+c] = takeExact()
 				return
 			}
-			recon.Set(r, c, interpolate(recon, r, c, s)+q.Decode(sym))
+			recon[r*cols+c] = interpolate(recon, rows, cols, r, c, s) + q.Decode(sym)
 		})
 		if innerErr != nil {
 			return nil, innerErr
@@ -296,5 +287,5 @@ func (Compressor) Decompress(data []byte) (*grid.Grid, error) {
 	if si != len(symbols) || ei != len(exact) {
 		return nil, ErrCorrupt
 	}
-	return recon, nil
+	return out, nil
 }

@@ -5,14 +5,31 @@ import (
 	"testing"
 	"testing/quick"
 
+	"lossycorr/internal/field"
 	"lossycorr/internal/gaussian"
 	"lossycorr/internal/grid"
 	"lossycorr/internal/xrand"
 )
 
+// gridCodec is the codec seen through the grid type the tests build
+// their inputs with.
+type gridCodec struct{}
+
+func (gridCodec) Compress(g *grid.Grid, eb float64) ([]byte, error) {
+	return Compressor{}.CompressField(field.FromGrid(g), eb)
+}
+
+func (gridCodec) Decompress(data []byte) (*grid.Grid, error) {
+	f, err := Compressor{}.DecompressField(data)
+	if err != nil {
+		return nil, err
+	}
+	return f.AsGrid()
+}
+
 func roundtrip(t *testing.T, g *grid.Grid, eb float64) *grid.Grid {
 	t.Helper()
-	c := Compressor{}
+	c := gridCodec{}
 	data, err := c.Compress(g, eb)
 	if err != nil {
 		t.Fatal(err)
@@ -91,7 +108,7 @@ func TestInterpolateExactOnBilinear(t *testing.T) {
 	})
 	for _, s := range []int{1, 2, 4} {
 		forEachLevelNode(17, 17, s, func(r, c int) {
-			got := interpolate(g, r, c, s)
+			got := interpolate(g.Data, g.Rows, g.Cols, r, c, s)
 			if math.Abs(got-g.At(r, c)) > 1e-12 {
 				t.Fatalf("stride %d node (%d,%d): %v want %v", s, r, c, got, g.At(r, c))
 			}
@@ -128,7 +145,7 @@ func TestExtremeValues(t *testing.T) {
 }
 
 func TestEmptyAndBadBound(t *testing.T) {
-	c := Compressor{}
+	c := gridCodec{}
 	if _, err := c.Compress(grid.New(0, 0), 1e-3); err == nil {
 		t.Fatal("empty field must error")
 	}
@@ -138,7 +155,7 @@ func TestEmptyAndBadBound(t *testing.T) {
 }
 
 func TestSmoothBeatsNoise(t *testing.T) {
-	c := Compressor{}
+	c := gridCodec{}
 	smooth, err := gaussian.Generate(gaussian.Params{Rows: 64, Cols: 64, Range: 16, Seed: 12})
 	if err != nil {
 		t.Fatal(err)
@@ -163,7 +180,7 @@ func TestRatioIncreasesWithBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := Compressor{}
+	c := gridCodec{}
 	var sizes []int
 	for _, eb := range []float64{1e-6, 1e-4, 1e-2} {
 		d, err := c.Compress(f, eb)
@@ -178,7 +195,7 @@ func TestRatioIncreasesWithBound(t *testing.T) {
 }
 
 func TestDecompressCorrupt(t *testing.T) {
-	c := Compressor{}
+	c := gridCodec{}
 	if _, err := c.Decompress([]byte{3, 1, 4}); err == nil {
 		t.Fatal("garbage must error")
 	}
@@ -192,7 +209,7 @@ func TestDecompressCorrupt(t *testing.T) {
 }
 
 func TestQuickBoundProperty(t *testing.T) {
-	c := Compressor{}
+	c := gridCodec{}
 	f := func(seed uint64, ebExp uint8, rough bool) bool {
 		eb := math.Pow(10, -1-float64(ebExp%6))
 		rng := xrand.New(seed)

@@ -21,7 +21,7 @@ func TestRoundTripAllocs(t *testing.T) {
 	for i := range g.Data {
 		g.Data[i] = rng.NormFloat64()
 	}
-	c := Compressor{}
+	c := gridCodec{}
 	if _, err := c.Compress(g, 1e-3); err != nil { // warm the pools
 		t.Fatal(err)
 	}

@@ -21,11 +21,11 @@ func randomField32(rows, cols int, seed uint64) *field.Field32 {
 
 func roundtrip32(t *testing.T, cc Compressor, f *field.Field32, eb float64) *field.Field32 {
 	t.Helper()
-	data, err := cc.Compress32(f, eb)
+	data, err := cc.CompressField32(f, eb)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := cc.Decompress32(data)
+	dec, err := cc.DecompressField32(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,16 +42,16 @@ func roundtrip32(t *testing.T, cc Compressor, f *field.Field32, eb float64) *fie
 	return dec
 }
 
-// TestLane32RoundTrip pins the native float32 lane: the bound holds
-// strictly on float32 values for every predictor mode — no widened
-// slack term, because the post-narrow guard escapes any sample whose
-// narrow rounding would exceed it.
+// TestLane32RoundTrip pins the native float32 lane of both ranks: the
+// bound holds strictly on float32 values — no widened slack term,
+// because the post-narrow guard escapes any sample whose narrow
+// rounding would exceed it.
 func TestLane32RoundTrip(t *testing.T) {
-	for _, mode := range []PredictorMode{PredictorAuto, PredictorLorenzoOnly, PredictorRegressionOnly} {
-		for _, eb := range []float64{1e-1, 1e-3, 1e-5} {
-			f := randomField32(61, 77, 7)
-			roundtrip32(t, Compressor{Mode: mode}, f, eb)
-		}
+	for _, eb := range []float64{1e-1, 1e-3, 1e-5} {
+		roundtrip32(t, New(2), randomField32(61, 77, 7), eb)
+		f3 := field.New32(13, 17, 11)
+		copy(f3.Data, randomField32(13, 17*11, 8).Data)
+		roundtrip32(t, New(3), f3, eb)
 	}
 }
 
@@ -65,7 +65,7 @@ func TestLane32NarrowGuard(t *testing.T) {
 	for i := range f.Data {
 		f.Data[i] = float32(1e7 + rng.NormFloat64())
 	}
-	dec := roundtrip32(t, Compressor{}, f, 1e-4)
+	dec := roundtrip32(t, New(2), f, 1e-4)
 	for i := range f.Data {
 		if f.Data[i] != dec.Data[i] {
 			t.Fatalf("sample %d: %v != %v (expected exact escape)", i, f.Data[i], dec.Data[i])
@@ -79,11 +79,11 @@ func TestLane32NonFinite(t *testing.T) {
 	f := randomField32(20, 20, 9)
 	f.Data[5] = float32(math.NaN())
 	f.Data[37] = float32(math.Inf(1))
-	data, err := Compressor{}.Compress32(f, 1e-3)
+	data, err := New(2).CompressField32(f, 1e-3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := Compressor{}.Decompress32(data)
+	dec, err := New(2).DecompressField32(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,13 +92,13 @@ func TestLane32NonFinite(t *testing.T) {
 	}
 }
 
-// TestLane32ThroughRegistry pins the adapter chain: WrapGrid exposes
-// the native lane as a compress.Lane32Compressor and RunField32 runs
-// it with BoundOK.
+// TestLane32ThroughRegistry pins the lane as the measurement harness
+// sees it: the codec is a compress.Lane32Compressor and RunField32
+// runs it with BoundOK.
 func TestLane32ThroughRegistry(t *testing.T) {
-	fc := compress.WrapGrid(Compressor{})
+	var fc compress.FieldCompressor = New(2)
 	if _, ok := fc.(compress.Lane32Compressor); !ok {
-		t.Fatal("WrapGrid(szlike.Compressor) does not expose the float32 lane")
+		t.Fatal("szlike.Compressor does not expose the float32 lane")
 	}
 	f := randomField32(50, 50, 11)
 	res, err := compress.RunField32(fc, f, 1e-3)
@@ -126,20 +126,26 @@ func TestLane32ThroughRegistry(t *testing.T) {
 func TestLane32Corrupt(t *testing.T) {
 	rng := xrand.New(1)
 	g := grid.FromFunc(16, 16, func(r, c int) float64 { return rng.NormFloat64() })
-	f64Stream, err := Compressor{}.Compress(g, 1e-3)
+	f64Stream, err := New(2).CompressField(field.FromGrid(g), 1e-3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := (Compressor{}).Decompress32(f64Stream); err == nil {
+	if _, err := New(2).DecompressField32(f64Stream); err == nil {
 		t.Fatal("float64 stream accepted by float32 lane")
 	}
 	f := randomField32(16, 16, 2)
-	data, err := Compressor{}.Compress32(f, 1e-3)
+	data, err := New(2).CompressField32(f, 1e-3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := (Compressor{}).Decompress32(data[:len(data)/2]); err == nil {
+	if _, err := New(2).DecompressField32(data[:len(data)/2]); err == nil {
 		t.Fatal("truncated stream accepted")
+	}
+	if _, err := New(2).DecompressField(data); err == nil {
+		t.Fatal("float32 stream accepted by float64 lane")
+	}
+	if _, err := New(3).DecompressField32(data); err == nil {
+		t.Fatal("rank-2 stream accepted by rank-3 codec")
 	}
 }
 
@@ -149,14 +155,11 @@ func TestLane32Corrupt(t *testing.T) {
 func BenchmarkSZLikeLanes(b *testing.B) {
 	const edge = 512
 	f32 := randomField32(edge, edge, 19)
-	g := grid.New(edge, edge)
-	for i, v := range f32.Data {
-		g.Data[i] = float64(v)
-	}
+	g := f32.Widen()
 	b.Run("f64", func(b *testing.B) {
 		b.SetBytes(int64(len(g.Data)) * 8)
 		for i := 0; i < b.N; i++ {
-			if _, err := (Compressor{}).Compress(g, 1e-3); err != nil {
+			if _, err := New(2).CompressField(g, 1e-3); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -164,7 +167,7 @@ func BenchmarkSZLikeLanes(b *testing.B) {
 	b.Run("f32", func(b *testing.B) {
 		b.SetBytes(int64(len(f32.Data)) * 4)
 		for i := 0; i < b.N; i++ {
-			if _, err := (Compressor{}).Compress32(f32, 1e-3); err != nil {
+			if _, err := New(2).CompressField32(f32, 1e-3); err != nil {
 				b.Fatal(err)
 			}
 		}

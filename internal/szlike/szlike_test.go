@@ -5,14 +5,44 @@ import (
 	"testing"
 	"testing/quick"
 
+	"lossycorr/internal/field"
 	"lossycorr/internal/gaussian"
 	"lossycorr/internal/grid"
 	"lossycorr/internal/xrand"
 )
 
+// gridCodec is the rank-2 codec seen through the grid type the
+// 2D tests build their inputs with.
+type gridCodec struct{}
+
+func (gridCodec) Compress(g *grid.Grid, eb float64) ([]byte, error) {
+	return New(2).CompressField(field.FromGrid(g), eb)
+}
+
+func (gridCodec) Decompress(data []byte) (*grid.Grid, error) {
+	f, err := New(2).DecompressField(data)
+	if err != nil {
+		return nil, err
+	}
+	return f.AsGrid()
+}
+
+// haloedCopy returns the lattice of a field and a zero-haloed copy of its
+// samples.
+func haloedCopy(t *testing.T, f *field.Field) (*lattice, []float64) {
+	t.Helper()
+	l, err := newLattice(f.NDim(), f.Shape)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := make([]float64, l.size)
+	l.rows(func(flat, h int) { copy(src[h:h+l.n[2]], f.Data[flat:flat+l.n[2]]) })
+	return l, src
+}
+
 func roundtrip(t *testing.T, g *grid.Grid, eb float64) *grid.Grid {
 	t.Helper()
-	c := Compressor{}
+	c := gridCodec{}
 	data, err := c.Compress(g, eb)
 	if err != nil {
 		t.Fatal(err)
@@ -35,50 +65,8 @@ func roundtrip(t *testing.T, g *grid.Grid, eb float64) *grid.Grid {
 }
 
 func TestName(t *testing.T) {
-	if (Compressor{}).Name() != "sz-like" {
+	if New(2).Name() != "sz-like" {
 		t.Fatal("name changed")
-	}
-	if (Compressor{Mode: PredictorLorenzoOnly}).Name() != "sz-like-lorenzo" {
-		t.Fatal("lorenzo name changed")
-	}
-	if (Compressor{Mode: PredictorRegressionOnly}).Name() != "sz-like-regression" {
-		t.Fatal("regression name changed")
-	}
-}
-
-func TestPredictorModesRoundtrip(t *testing.T) {
-	f, err := gaussian.Generate(gaussian.Params{Rows: 48, Cols: 48, Range: 8, Seed: 21})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sizes := map[PredictorMode]int{}
-	for _, mode := range []PredictorMode{PredictorAuto, PredictorLorenzoOnly, PredictorRegressionOnly} {
-		c := Compressor{Mode: mode}
-		data, err := c.Compress(f, 1e-3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dec, err := c.Decompress(data)
-		if err != nil {
-			t.Fatal(err)
-		}
-		maxErr, err := f.MaxAbsDiff(dec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if maxErr > 1e-3*(1+1e-12) {
-			t.Fatalf("mode %v violated bound: %v", mode, maxErr)
-		}
-		sizes[mode] = len(data)
-	}
-	// auto must be at least as good as the best single predictor, up to
-	// the one-byte-per-block mode overhead
-	best := sizes[PredictorLorenzoOnly]
-	if sizes[PredictorRegressionOnly] < best {
-		best = sizes[PredictorRegressionOnly]
-	}
-	if sizes[PredictorAuto] > best+best/10 {
-		t.Fatalf("auto (%d B) much worse than best single predictor (%d B)", sizes[PredictorAuto], best)
 	}
 }
 
@@ -99,7 +87,7 @@ func TestRoundtripNoise(t *testing.T) {
 
 func TestRoundtripConstant(t *testing.T) {
 	g := grid.FromFunc(20, 20, func(r, c int) float64 { return 3.75 })
-	c := Compressor{}
+	c := gridCodec{}
 	data, err := c.Compress(g, 1e-6)
 	if err != nil {
 		t.Fatal(err)
@@ -119,7 +107,7 @@ func TestOddSizes(t *testing.T) {
 }
 
 func TestEmptyAndBadBound(t *testing.T) {
-	c := Compressor{}
+	c := gridCodec{}
 	if _, err := c.Compress(grid.New(0, 0), 1e-3); err == nil {
 		t.Fatal("empty field must error")
 	}
@@ -134,7 +122,7 @@ func TestExtremeValues(t *testing.T) {
 }
 
 func TestSmoothBeatsNoise(t *testing.T) {
-	c := Compressor{}
+	c := gridCodec{}
 	smooth, err := gaussian.Generate(gaussian.Params{Rows: 64, Cols: 64, Range: 16, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
@@ -159,7 +147,7 @@ func TestRatioIncreasesWithBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := Compressor{}
+	c := gridCodec{}
 	var sizes []int
 	for _, eb := range []float64{1e-6, 1e-4, 1e-2} {
 		d, err := c.Compress(f, eb)
@@ -174,7 +162,7 @@ func TestRatioIncreasesWithBound(t *testing.T) {
 }
 
 func TestDecompressCorrupt(t *testing.T) {
-	c := Compressor{}
+	c := gridCodec{}
 	if _, err := c.Decompress([]byte{1, 2, 3}); err == nil {
 		t.Fatal("garbage must error")
 	}
@@ -188,7 +176,7 @@ func TestDecompressCorrupt(t *testing.T) {
 }
 
 func TestQuickBoundProperty(t *testing.T) {
-	c := Compressor{}
+	c := gridCodec{}
 	f := func(seed uint64, ebExp uint8, rough bool) bool {
 		eb := math.Pow(10, -1-float64(ebExp%6)) // 1e-1 .. 1e-6
 		rng := xrand.New(seed)
@@ -223,9 +211,10 @@ func TestRegressionCoeffsFitPlane(t *testing.T) {
 	g := grid.FromFunc(16, 16, func(r, c int) float64 {
 		return 2 + 0.5*float64(r) - 0.25*float64(c)
 	})
-	b0, b1, b2 := regressionCoeffs(g, 0, 0, 16, 16)
-	if math.Abs(b0-2) > 1e-5 || math.Abs(b1-0.5) > 1e-6 || math.Abs(b2+0.25) > 1e-6 {
-		t.Fatalf("plane fit %v %v %v", b0, b1, b2)
+	l, src := haloedCopy(t, field.FromGrid(g))
+	b := fit(l, src, &block{e: [3]int{1, 16, 16}})
+	if math.Abs(b[0]-2) > 1e-5 || math.Abs(b[2]-0.5) > 1e-6 || math.Abs(b[3]+0.25) > 1e-6 {
+		t.Fatalf("plane fit %v", b)
 	}
 }
 
@@ -234,11 +223,42 @@ func TestLorenzoPredictExactOnPlane(t *testing.T) {
 	g := grid.FromFunc(8, 8, func(r, c int) float64 {
 		return 1 + 3*float64(r) + 7*float64(c)
 	})
+	l, src := haloedCopy(t, field.FromGrid(g))
 	for r := 1; r < 8; r++ {
 		for c := 1; c < 8; c++ {
-			if p := lorenzoPredict(g, r, c); math.Abs(p-g.At(r, c)) > 1e-12 {
+			if p := lorenzo2(src, l.at(0, r, c), &l.off); math.Abs(p-g.At(r, c)) > 1e-12 {
 				t.Fatalf("lorenzo at (%d,%d): %v want %v", r, c, p, g.At(r, c))
 			}
+		}
+	}
+}
+
+// TestHaloedClearsOnlyTheHalo pins the reuse contract of the pooled
+// buffers: every sample with a −1 coordinate reads 0 whatever the
+// buffer held before, and the interior is left alone.
+func TestHaloedClearsOnlyTheHalo(t *testing.T) {
+	for _, shape := range [][]int{{5, 7}, {1, 9}, {3, 4, 6}, {1, 1, 2}} {
+		l, err := newLattice(len(shape), shape)
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf := make([]float64, l.size)
+		for i := range buf {
+			buf[i] = math.NaN()
+		}
+		buf = haloed(l, buf)
+		interior := 1
+		for _, n := range shape {
+			interior *= n
+		}
+		zeros := 0
+		for _, v := range buf {
+			if v == 0 {
+				zeros++
+			}
+		}
+		if zeros != l.size-interior {
+			t.Fatalf("shape %v: %d zeros, want the %d halo samples", shape, zeros, l.size-interior)
 		}
 	}
 }

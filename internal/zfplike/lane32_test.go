@@ -20,11 +20,11 @@ func randomField32(rows, cols int, seed uint64) *field.Field32 {
 
 func roundtrip32(t *testing.T, f *field.Field32, eb float64) *field.Field32 {
 	t.Helper()
-	data, err := Compressor{}.Compress32(f, eb)
+	data, err := New(2).CompressField32(f, eb)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := Compressor{}.Decompress32(data)
+	dec, err := New(2).DecompressField32(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,11 +76,11 @@ func TestLane32NonFinite(t *testing.T) {
 	f := randomField32(12, 12, 7)
 	f.Data[0] = float32(math.NaN())
 	f.Data[50] = float32(math.Inf(-1))
-	data, err := Compressor{}.Compress32(f, 1e-2)
+	data, err := New(2).CompressField32(f, 1e-2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := Compressor{}.Decompress32(data)
+	dec, err := New(2).DecompressField32(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,12 +89,18 @@ func TestLane32NonFinite(t *testing.T) {
 	}
 }
 
-// TestLane32ThroughRegistry pins the adapter chain and the measured
-// bound via RunField32's native path.
+// TestLane32ThroughRegistry pins the lane as the measurement harness
+// sees it and the measured bound via RunField32's native path, on
+// both ranks.
 func TestLane32ThroughRegistry(t *testing.T) {
-	fc := compress.WrapGrid(Compressor{})
+	var fc compress.FieldCompressor = New(2)
 	if _, ok := fc.(compress.Lane32Compressor); !ok {
-		t.Fatal("WrapGrid(zfplike.Compressor) does not expose the float32 lane")
+		t.Fatal("zfplike.Compressor does not expose the float32 lane")
+	}
+	f3 := field.New32(9, 10, 11)
+	copy(f3.Data, randomField32(9, 110, 14).Data)
+	if res, err := compress.RunField32(New(3), f3, 1e-3); err != nil || !res.BoundOK {
+		t.Fatalf("rank-3 native lane: %+v, %v", res, err)
 	}
 	f := randomField32(50, 50, 13)
 	res, err := compress.RunField32(fc, f, 1e-3)
@@ -112,23 +118,18 @@ func TestLane32ThroughRegistry(t *testing.T) {
 // TestLane32Corrupt pins lane and truncation validation.
 func TestLane32Corrupt(t *testing.T) {
 	f := randomField32(16, 16, 3)
-	data, err := Compressor{}.Compress32(f, 1e-3)
+	data, err := New(2).CompressField32(f, 1e-3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := (Compressor{}).Decompress32(data[:len(data)/2]); err == nil {
+	if _, err := New(2).DecompressField32(data[:len(data)/2]); err == nil {
 		t.Fatal("truncated stream accepted")
 	}
-	wide := f.Widen()
-	g, err := wide.AsGrid()
+	f64Stream, err := New(2).CompressField(f.Widen(), 1e-3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f64Stream, err := Compressor{}.Compress(g, 1e-3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := (Compressor{}).Decompress32(f64Stream); err == nil {
+	if _, err := New(2).DecompressField32(f64Stream); err == nil {
 		t.Fatal("float64 stream accepted by float32 lane")
 	}
 }

@@ -50,7 +50,7 @@ func TestMeasureRelative(t *testing.T) {
 }
 
 func TestCompressorsRegistry(t *testing.T) {
-	names := Compressors().Names()
+	names := CompressorsFor(2)
 	if len(names) != 3 {
 		t.Fatalf("names %v", names)
 	}
