@@ -18,6 +18,7 @@ import (
 	"lossycorr/internal/compress"
 	"lossycorr/internal/field"
 	"lossycorr/internal/grid"
+	"lossycorr/internal/linalg"
 	"lossycorr/internal/mgardlike"
 	"lossycorr/internal/parallel"
 	"lossycorr/internal/stat"
@@ -127,8 +128,8 @@ type AnalysisOptions struct {
 	// zero value is svdstat's Gram-matrix fast path (levels from the
 	// AᵀA/AAᵀ eigenproblem; agrees with the full-SVD path up to
 	// eigensolver roundoff at the truncation threshold), now the
-	// default; svdstat.GramOff restores the historical full-SVD
-	// arithmetic bit-identically.
+	// default; svdstat.GramOff selects the historical full-SVD
+	// arithmetic.
 	SVDGram svdstat.GramMode
 	// VariogramFFT selects the FFT exact engine for the global
 	// variogram scan (variogram.Options.FFT): all lag cross-products
@@ -179,6 +180,12 @@ func (o AnalysisOptions) withDefaults() AnalysisOptions {
 	}
 	return o
 }
+
+// ErrNonFinite reports an analysis whose input holds a NaN or an
+// infinity in a window the local SVD statistic solves: the statistic
+// fails with it (match with errors.Is) instead of folding a
+// plausible-looking number.
+var ErrNonFinite = linalg.ErrNotFinite
 
 // Analyze extracts the correlation statistics of a 2D field — the
 // rank-2 view of AnalyzeField.

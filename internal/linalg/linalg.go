@@ -1,14 +1,15 @@
 // Package linalg supplies the small dense linear-algebra kernels the
 // analysis pipeline needs: least-squares solvers (Householder QR),
-// polynomial fitting in the style of numpy.polyfit, a symmetric Jacobi
-// eigensolver, and singular values for the local-SVD statistic.
+// polynomial fitting in the style of numpy.polyfit, an eigenvalues-only
+// symmetric eigensolver (Householder tridiagonalisation plus
+// implicit-shift QL), and singular values for the local-SVD statistic.
 package linalg
 
 import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Matrix is a dense row-major matrix.
@@ -156,59 +157,201 @@ func PolyVal(coeffs []float64, x float64) float64 {
 	return v
 }
 
+// ErrNotFinite reports a matrix holding a NaN or an infinity. The
+// eigensolver checks for it before any arithmetic, so a non-finite
+// input fails fast instead of iterating to the cap.
+var ErrNotFinite = errors.New("linalg: matrix has non-finite entries")
+
+// qlMaxIter caps the implicit-QL iterations spent on any one
+// eigenvalue. Convergence is cubic, so a handful usually suffice; the
+// cap only guards against a non-converging input.
+const qlMaxIter = 50
+
 // SymEigen computes all eigenvalues of the symmetric n×n matrix a by
-// the cyclic Jacobi method. a is destroyed. Eigenvalues are returned in
-// descending order. Only values (not vectors) are computed, which is
-// all the truncation-level statistic requires.
+// Householder tridiagonalisation followed by implicit-shift QL
+// (Golub & Van Loan §8.3). Only the lower triangle of a is read, and a
+// is destroyed. Eigenvalues are returned in descending order. Only
+// values (not vectors) are computed, which is all the truncation-level
+// statistic requires. A non-finite entry yields ErrNotFinite.
 func SymEigen(a *Matrix) ([]float64, error) {
+	return SymEigenInto(a, make([]float64, a.Rows), make([]float64, a.Rows))
+}
+
+// SymEigenInto is SymEigen with caller-owned scratch, for callers that
+// solve many small systems: d and e must hold at least n values. The
+// eigenvalues come back in d[:n], descending; e is overwritten.
+func SymEigenInto(a *Matrix, d, e []float64) ([]float64, error) {
 	n := a.Rows
 	if a.Cols != n {
 		return nil, fmt.Errorf("linalg: SymEigen needs square matrix, got %dx%d", n, a.Cols)
 	}
-	const maxSweeps = 64
-	for sweep := 0; sweep < maxSweeps; sweep++ {
-		var off float64
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				off += a.At(i, j) * a.At(i, j)
-			}
-		}
-		if off < 1e-24*float64(n*n) {
-			break
-		}
-		for p := 0; p < n-1; p++ {
-			for q := p + 1; q < n; q++ {
-				apq := a.At(p, q)
-				if apq == 0 {
-					continue
-				}
-				app, aqq := a.At(p, p), a.At(q, q)
-				theta := (aqq - app) / (2 * apq)
-				t := 1 / (math.Abs(theta) + math.Sqrt(theta*theta+1))
-				if theta < 0 {
-					t = -t
-				}
-				c := 1 / math.Sqrt(t*t+1)
-				s := t * c
-				for k := 0; k < n; k++ {
-					akp, akq := a.At(k, p), a.At(k, q)
-					a.Set(k, p, c*akp-s*akq)
-					a.Set(k, q, s*akp+c*akq)
-				}
-				for k := 0; k < n; k++ {
-					apk, aqk := a.At(p, k), a.At(q, k)
-					a.Set(p, k, c*apk-s*aqk)
-					a.Set(q, k, s*apk+c*aqk)
-				}
+	if len(d) < n || len(e) < n {
+		return nil, fmt.Errorf("linalg: SymEigen scratch %d/%d shorter than n=%d", len(d), len(e), n)
+	}
+	d, e = d[:n], e[:n]
+	if n == 0 {
+		return d, nil
+	}
+	for i := 0; i < n; i++ {
+		for _, v := range a.Data[i*n : i*n+i+1] {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return nil, ErrNotFinite
 			}
 		}
 	}
-	eig := make([]float64, n)
-	for i := range eig {
-		eig[i] = a.At(i, i)
+	tridiagonalize(a.Data, n, d, e)
+	if err := tql(d, e, qlMaxIter); err != nil {
+		return nil, err
 	}
-	sort.Sort(sort.Reverse(sort.Float64Slice(eig)))
-	return eig, nil
+	slices.Sort(d)
+	slices.Reverse(d)
+	return d, nil
+}
+
+// tridiagonalize reduces the symmetric matrix held in the lower
+// triangle of the row-major n×n array a to tridiagonal form by
+// Householder reflections (the eigenvalues-only half of tred2). Row i
+// is annihilated left of its subdiagonal, and the trailing update
+// touches only lower-triangle rows, so every inner loop runs over
+// contiguous memory. On return d holds the diagonal and e[i] the
+// subdiagonal entry (i, i-1), with e[0] = 0.
+func tridiagonalize(a []float64, n int, d, e []float64) {
+	for i := n - 1; i > 0; i-- {
+		u := a[i*n : i*n+i] // row i left of the diagonal
+		var scale float64
+		if i > 1 {
+			for _, v := range u {
+				scale += math.Abs(v)
+			}
+		}
+		if scale == 0 { // nothing to annihilate
+			e[i] = u[i-1]
+			continue
+		}
+		var h float64
+		for k := range u {
+			u[k] /= scale
+			h += u[k] * u[k]
+		}
+		f := u[i-1]
+		g := math.Sqrt(h)
+		if f >= 0 {
+			g = -g
+		}
+		e[i] = scale * g
+		h -= f * g
+		u[i-1] = f - g
+		// p = A·u/h over the leading i×i block, read row by row from the
+		// lower triangle; e[:i] is free until those rows are reached.
+		p := e[:i]
+		clear(p)
+		for j := 0; j < i; j++ {
+			rj := a[j*n : j*n+j]
+			uj := u[j]
+			var s float64
+			for k, v := range rj {
+				s += v * u[k]
+				p[k] += v * uj
+			}
+			p[j] += s + a[j*n+j]*uj
+		}
+		var pu float64
+		for j := range p {
+			p[j] /= h
+			pu += p[j] * u[j]
+		}
+		hh := pu / (h + h)
+		for j := range p {
+			p[j] -= hh * u[j]
+		}
+		// A ← A − u·pᵀ − p·uᵀ on the lower triangle.
+		for j := 0; j < i; j++ {
+			uj, pj := u[j], p[j]
+			rj := a[j*n : j*n+j+1]
+			for k := range rj {
+				rj[k] -= uj*p[k] + pj*u[k]
+			}
+		}
+	}
+	e[0] = 0
+	for i := 0; i < n; i++ {
+		d[i] = a[i*n+i]
+	}
+}
+
+// hypot is √(x²+y²) by the direct formula, falling back to the
+// overflow- and underflow-safe math.Hypot only when the squares leave
+// the range where the direct formula is exact to rounding. The QL
+// sweep takes one per rotation, and math.Hypot costs as much as the
+// rest of the rotation.
+func hypot(x, y float64) float64 {
+	r := math.Sqrt(x*x + y*y)
+	if r < 0x1p-480 || r > 0x1p480 {
+		return math.Hypot(x, y)
+	}
+	return r
+}
+
+// tql finds the eigenvalues of the symmetric tridiagonal matrix with
+// diagonal d and subdiagonal e[1:] by implicit-shift QL (tqli),
+// overwriting d with them (unordered) and destroying e; n ≥ 1. An
+// off-diagonal entry deflates when |e[m]| ≤ ε·(|d[m]|+|d[m+1]|), a
+// test relative to the neighbouring diagonal, so the solve does not
+// depend on the units of the matrix. More than maxIter QL steps on any
+// one eigenvalue is an error.
+func tql(d, e []float64, maxIter int) error {
+	n := len(d)
+	copy(e, e[1:])
+	e[n-1] = 0
+	const eps = 0x1p-52
+	for l := 0; l < n; l++ {
+		for iter := 0; ; iter++ {
+			m := l
+			for ; m < n-1; m++ {
+				if math.Abs(e[m]) <= eps*(math.Abs(d[m])+math.Abs(d[m+1])) {
+					break
+				}
+			}
+			if m == l {
+				break
+			}
+			if iter == maxIter {
+				return fmt.Errorf("linalg: implicit QL did not converge in %d iterations", maxIter)
+			}
+			// Wilkinson-style shift from the leading 2×2 block.
+			g := (d[l+1] - d[l]) / (2 * e[l])
+			r := hypot(g, 1)
+			g = d[m] - d[l] + e[l]/(g+math.Copysign(r, g))
+			s, c, p := 1.0, 1.0, 0.0
+			i := m - 1
+			for ; i >= l; i-- {
+				f := s * e[i]
+				b := c * e[i]
+				r = hypot(f, g)
+				e[i+1] = r
+				if r == 0 { // underflow: deflate and restart
+					d[i+1] -= p
+					e[m] = 0
+					break
+				}
+				inv := 1 / r
+				s = f * inv
+				c = g * inv
+				g = d[i+1] - p
+				r = (d[i]-g)*s + 2*c*b
+				p = s * r
+				d[i+1] = g + p
+				g = c*r - b
+			}
+			if r == 0 && i >= l {
+				continue
+			}
+			d[l] -= p
+			e[l] = g
+			e[m] = 0
+		}
+	}
+	return nil
 }
 
 // SingularValues returns the singular values of the m×n matrix a in

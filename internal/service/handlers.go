@@ -78,13 +78,22 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_, _ = w.Write(append(buf, '\n'))
 }
 
-func (s *Server) writeError(w http.ResponseWriter, err error) {
-	status := http.StatusInternalServerError
+// errStatus maps a failure to its HTTP status: an apiError carries its
+// own, input holding NaN or Inf is 422 Unprocessable Entity, and
+// anything else is a 500.
+func errStatus(err error) int {
 	var ae *apiError
-	if errors.As(err, &ae) {
-		status = ae.status
+	switch {
+	case errors.As(err, &ae):
+		return ae.status
+	case errors.Is(err, core.ErrNonFinite):
+		return http.StatusUnprocessableEntity
 	}
-	writeJSON(w, status, map[string]string{"error": err.Error()})
+	return http.StatusInternalServerError
+}
+
+func (s *Server) writeError(w http.ResponseWriter, err error) {
+	writeJSON(w, errStatus(err), map[string]string{"error": err.Error()})
 }
 
 // Handler returns the corrcompd route table.
@@ -1092,7 +1101,7 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	j.mu.Lock()
-	info, result := j.info, j.result
+	info, result, jerr := j.info, j.result, j.err
 	j.mu.Unlock()
 	switch info.State {
 	case JobDone:
@@ -1107,7 +1116,7 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 	case JobCancelled:
 		writeJSON(w, http.StatusConflict, info)
 	default: // JobFailed
-		s.writeError(w, apiErrorf(http.StatusInternalServerError, "job failed: %s", info.Error))
+		s.writeError(w, apiErrorf(errStatus(jerr), "job failed: %s", info.Error))
 	}
 }
 

@@ -54,6 +54,7 @@ type job struct {
 	info   JobInfo
 	spec   runSpec
 	result any
+	err    error // why a failed job failed; picks the result's status
 	ctx    context.Context
 	cancel context.CancelFunc
 }
@@ -247,6 +248,7 @@ func (s *Server) runJob(j *job) {
 	default:
 		j.info.State = JobFailed
 		j.info.Error = err.Error()
+		j.err = err
 		s.ctrFailed.Add(1)
 	}
 }

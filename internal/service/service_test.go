@@ -7,10 +7,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -262,6 +264,47 @@ func TestJobSubmitPollResult(t *testing.T) {
 	}
 	if code := getJSON(t, hs.URL+"/v1/jobs", &list); code != http.StatusOK || len(list.Jobs) != 1 {
 		t.Fatalf("job list: %d %+v", code, list)
+	}
+}
+
+// TestNonFiniteFieldReturns422 uploads a field holding one NaN: the
+// analysis fails with core.ErrNonFinite, which the sync endpoint and
+// the async job result both answer with 422, not 500.
+func TestNonFiniteFieldReturns422(t *testing.T) {
+	_, hs := testServer(t, Config{})
+	g, err := gaussian.Generate(gaussian.Params{Rows: 64, Cols: 64, Range: 8, Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.Data[777] = math.NaN()
+	var buf bytes.Buffer
+	if err := field.FromGrid(g).WriteBinary(&buf); err != nil {
+		t.Fatal(err)
+	}
+	body := buf.Bytes()
+
+	code, data := postBin(t, hs.URL+"/v1/analyze", body)
+	if code != http.StatusUnprocessableEntity {
+		t.Fatalf("sync analyze: %d %s, want 422", code, data)
+	}
+	var e map[string]string
+	if err := json.Unmarshal(data, &e); err != nil || !strings.Contains(e["error"], "non-finite") {
+		t.Fatalf("error payload %q", data)
+	}
+
+	code, data = postBin(t, hs.URL+"/v1/jobs/analyze", body)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: %d %s", code, data)
+	}
+	var info JobInfo
+	if err := json.Unmarshal(data, &info); err != nil {
+		t.Fatal(err)
+	}
+	if final := waitJobTerminal(t, hs.URL, info.ID); final.State != JobFailed {
+		t.Fatalf("job ended %s, want failed", final.State)
+	}
+	if code := getJSON(t, hs.URL+"/v1/jobs/"+info.ID+"/result", nil); code != http.StatusUnprocessableEntity {
+		t.Fatalf("job result: %d, want 422", code)
 	}
 }
 

@@ -13,6 +13,7 @@ package svdstat
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"lossycorr/internal/field"
 	"lossycorr/internal/grid"
@@ -29,19 +30,18 @@ type GramMode int
 
 const (
 	// GramDefault (the zero value) uses the fast path: truncation
-	// levels come from the eigenvalues of the centered Gram matrix
-	// (AᵀA or AAᵀ, whichever is smaller) assembled directly from the
-	// window, skipping the centered copy and the
+	// levels come from the eigenvalues of the centred Gram matrix
+	// (AᵀA or AAᵀ, whichever is smaller), formed in pooled scratch
+	// from the window centred as it is read, skipping the
 	// eigenvalue→singular-value→square round trip. Levels agree with
 	// the full-SVD path up to eigensolver roundoff at the truncation
-	// threshold (~5 % faster on 32×32 windows, ~16 % on unfolded 3D
-	// windows, fewer allocations).
+	// threshold. About 1.3× faster than GramOff on 32×32 windows and
+	// 1.4× on unfolded 32×1024 windows, with no allocation per window.
 	GramDefault GramMode = iota
 	// GramOn requests the fast path explicitly (same as the default).
 	GramOn
-	// GramOff is the escape hatch: the historical full-SVD path
-	// (center, singular values, accumulate squares), bit-identical to
-	// the pre-Gram releases.
+	// GramOff is the reference path: the historical full-SVD
+	// arithmetic (centre, singular values, accumulate squares).
 	GramOff
 )
 
@@ -81,9 +81,9 @@ func TruncationLevel(w *grid.Grid, frac float64) (int, error) {
 
 // levelFull is the reference path (GramOff, and TruncationLevel's
 // arithmetic): center, take singular values, and accumulate their
-// squares. The arithmetic is kept exactly as the historical 2D
-// implementation so the escape hatch reproduces pre-Gram statistics
-// bit-identically.
+// squares, the arithmetic of the historical 2D implementation. It
+// shares the eigensolver with the Gram path through
+// linalg.SingularValues.
 func levelFull(data []float64, rows, cols int, mean, frac float64) (int, error) {
 	if frac <= 0 || frac > 1 {
 		return 0, fmt.Errorf("svdstat: variance fraction %v outside (0,1]", frac)
@@ -114,17 +114,18 @@ func levelFull(data []float64, rows, cols int, mean, frac float64) (int, error) 
 	return len(sv), nil
 }
 
-// levelGram is the fast path (the ROADMAP's Gram-matrix route): the
-// truncation level needs only squared singular values, which are the
-// eigenvalues of the centered Gram matrix G = AᵀA (or AAᵀ when rows <
-// cols). G is assembled in one pass from the raw window using the
-// rank-one centering identity
-//
-//	G_centered[i][j] = G_raw[i][j] − μ·(S_i + S_j) + m·μ²
-//
-// (S = line sums along the contracted side, m its length), so the
-// centered copy, the per-value sqrt, and the re-squaring of the
-// default path all disappear.
+// gramPool recycles levelGram's per-window working set: the k×k Gram
+// matrix, the centred copy of the window, and the eigensolver's d/e
+// vectors, carved from one backing slice so a warm pool serves a
+// window without allocating.
+var gramPool = sync.Pool{New: func() any { return new([]float64) }}
+
+// levelGram is the fast path: the truncation level needs only squared
+// singular values, which are the eigenvalues of the centred Gram
+// matrix G = AᵀA (or AAᵀ when rows < cols). The window is centred
+// into pooled scratch before G is formed, so G never carries the
+// mean's energy and a large offset costs no precision; only G's lower
+// triangle, the part the eigensolver reads, is formed.
 func levelGram(data []float64, rows, cols int, frac float64) (int, error) {
 	if frac <= 0 || frac > 1 {
 		return 0, fmt.Errorf("svdstat: variance fraction %v outside (0,1]", frac)
@@ -138,51 +139,48 @@ func levelGram(data []float64, rows, cols int, frac float64) (int, error) {
 		sumAll += v
 	}
 	mu := sumAll / float64(n)
-	k, m := cols, rows // contract over rows: G = AᵀA
+	k := cols // contract over rows: G = AᵀA
 	gramT := rows < cols
 	if gramT {
-		k, m = rows, cols // contract over cols: G = AAᵀ
+		k = rows // contract over cols: G = AAᵀ
 	}
-	g := linalg.NewMatrix(k, k)
-	lineSum := make([]float64, k)
+	scratch := gramPool.Get().(*[]float64)
+	defer gramPool.Put(scratch)
+	if need := k*k + n + 2*k; cap(*scratch) < need {
+		*scratch = make([]float64, need)
+	}
+	buf := *scratch
+	g, c := buf[:k*k], buf[k*k:k*k+n]
+	d, e := buf[k*k+n:k*k+n+k], buf[k*k+n+k:k*k+n+2*k]
+	for i, v := range data {
+		c[i] = v - mu
+	}
 	if gramT {
 		for i := 0; i < k; i++ {
-			ri := data[i*cols : (i+1)*cols]
-			var s float64
-			for _, v := range ri {
-				s += v
-			}
-			lineSum[i] = s
-			for j := i; j < k; j++ {
-				rj := data[j*cols : (j+1)*cols]
+			ci := c[i*cols : (i+1)*cols]
+			gi := g[i*k : i*k+i+1]
+			for j := range gi {
+				cj := c[j*cols : (j+1)*cols]
 				var dot float64
-				for t, v := range ri {
-					dot += v * rj[t]
+				for t, v := range ci {
+					dot += v * cj[t]
 				}
-				g.Set(i, j, dot)
+				gi[j] = dot
 			}
 		}
 	} else {
+		clear(g)
 		for t := 0; t < rows; t++ {
-			row := data[t*cols : (t+1)*cols]
+			row := c[t*cols : (t+1)*cols]
 			for i, vi := range row {
-				lineSum[i] += vi
-				gi := g.Data[i*k:]
-				for j := i; j < k; j++ {
+				gi := g[i*k : i*k+i+1]
+				for j := range gi {
 					gi[j] += vi * row[j]
 				}
 			}
 		}
 	}
-	mm := float64(m) * mu * mu
-	for i := 0; i < k; i++ {
-		for j := i; j < k; j++ {
-			v := g.At(i, j) - mu*(lineSum[i]+lineSum[j]) + mm
-			g.Set(i, j, v)
-			g.Set(j, i, v)
-		}
-	}
-	eig, err := linalg.SymEigen(g)
+	eig, err := linalg.SymEigenInto(&linalg.Matrix{Rows: k, Cols: k, Data: g}, d, e)
 	if err != nil {
 		return 0, err
 	}

@@ -307,6 +307,11 @@ func StatNames() []string { return stat.Names() }
 // AnalysisOptions configures Analyze.
 type AnalysisOptions = core.AnalysisOptions
 
+// ErrNonFinite reports an analysis whose input holds a NaN or an
+// infinity where the local SVD statistic reads it. Match it with
+// errors.Is.
+var ErrNonFinite = core.ErrNonFinite
+
 // Analyze extracts all correlation statistics of a field.
 func Analyze(g *Grid, opts AnalysisOptions) (Statistics, error) { return core.Analyze(g, opts) }
 

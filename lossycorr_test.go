@@ -1,6 +1,7 @@
 package lossycorr
 
 import (
+	"errors"
 	"math"
 	"testing"
 )
@@ -214,5 +215,19 @@ func TestSuiteFacade(t *testing.T) {
 	s := NewSuite(FigureConfig{Size: 64, Replicates: 1, MirandaSlices: 2, ErrorBounds: []float64{1e-3}})
 	if s.Config().Size != 64 {
 		t.Fatalf("config %+v", s.Config())
+	}
+}
+
+// TestAnalyzeFieldNonFiniteFacade checks the facade's sentinel: a NaN
+// in the field fails the analysis with an error matching
+// lossycorr.ErrNonFinite.
+func TestAnalyzeFieldNonFiniteFacade(t *testing.T) {
+	g, err := GenerateGaussian(GaussianParams{Rows: 64, Cols: 64, Range: 8, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.Data[100] = math.NaN()
+	if _, err := AnalyzeField(FieldFromGrid(g), AnalysisOptions{}); !errors.Is(err, ErrNonFinite) {
+		t.Fatalf("err %v, want ErrNonFinite", err)
 	}
 }
